@@ -1,0 +1,245 @@
+"""Pinned report digests: run and validate reports must stay byte-identical.
+
+Each digest is the SHA-256 of `json.dumps(report, sort_keys=True)` with the
+wall-clock "timing" section dropped.  The circuits cover the shipped files,
+random circuits over all nine gate kinds with mid-circuit measurements, and
+one circuit with more measurements than `born_distribution` enumerates, so
+validate's sampled-reference branch is pinned too.
+
+Regenerate with `PYTHONPATH=src python tests/test_report_golden.py` only when
+a change is meant to alter reports, and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from bladesim import parse, random_clifford_circuit, run, validate
+from bladesim.backends import BACKENDS, BORN_ENUMERATION_LIMIT
+
+ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
+SEEDS = range(4)
+RUN_SHOTS = 64
+VALIDATE_SHOTS = 256
+CIRCUIT_DIR = Path(__file__).resolve().parent.parent / "circuits"
+
+
+def _circuits() -> dict:
+    out = {p.stem: parse(p.read_text(encoding="utf-8")) for p in sorted(CIRCUIT_DIR.glob("*.qc"))}
+    for s in range(3):
+        out[f"random{s}"] = random_clifford_circuit(4, 24, seed=100 + s, gate_kinds=ALL_KINDS, measure_prob=0.2)
+    body = "h 0\ncnot 0 1\nmeasure 0\nmeasure 1\nh 1\n" * 9
+    out["many_measures"] = parse("qubits 2\n" + body)
+    assert out["many_measures"].measure_count > BORN_ENUMERATION_LIMIT
+    return out
+
+
+CIRCUITS = _circuits()
+
+
+def _digest(report: dict) -> str:
+    report = {k: v for k, v in report.items() if k != "timing"}
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _digests(circuit) -> dict[str, list[str]]:
+    out = {b: [_digest(run(circuit, b, shots=RUN_SHOTS, seed=s)) for s in SEEDS] for b in BACKENDS}
+    out["validate"] = [_digest(validate(circuit, shots=VALIDATE_SHOTS, seed=s)) for s in SEEDS]
+    return out
+
+
+GOLDEN = {
+    "bell": {
+        "dense-clifford": [
+            "221b8865535752546c1b62684dc18013fdefdc4a5bb86b069d15a8d275ae9f44",
+            "9eca9dd1e6963e3ffd9c09c9e60e17d522fbfd7e77731fcf75566e58e71abc99",
+            "88cdb9bf4f33d74fe9d2c3ee037facc89969f5780a437f6f14b801b2338d51fc",
+            "e1c4d8be242310867fb2ddbac5d563f48c8e5106f3b92c3c95e955bd426ae5d0",
+        ],
+        "stabilizer": [
+            "746e256750be70f99f241dcc347a0b09ce17f9da8f0011f14938b8c95736e552",
+            "1067f942badb4fbd556efc68a3e9625d6a93c95c00bdcb23e1f57e6ed7a33235",
+            "0b62b6499cb8008df9a7198077ee26d3b3102f62daccf7e48f361d03f1eb3f6c",
+            "6612c0c950ba720be63b7cd38da31cb2b1c057a4a3da6f175274e1a6038f1d8b",
+        ],
+        "statevector": [
+            "c0f283991c7432c2cab6fbffb35be86ae7b9f281b8b13c1d5b203d496593ac76",
+            "27e20fc71817a20b36c9df12c2adf96c2193a62d2b30d7390e7032ed22ed37e3",
+            "d338e9809590963710831c1b106b4b067ec95200fce36695d46cb319681874d4",
+            "c2e2aa3f6781f04c1456731392cd0e067a5b3948c20db8a9e2692468f702271f",
+        ],
+        "validate": [
+            "8dd35332c741e17fec7ccd3ea497766243c3c74cce106810036d77020ded7c21",
+            "4463663ce6d9b41f33712aa725615b4ddb0dd7d6edb564945ea9c9f0b035c4d7",
+            "91726ada0370fef9ea55e2875daf9c2d79496e055a7fbe3c64543063faa8285f",
+            "9951d61c18914193b68547a2a757c27a870638f48c8699dfbc31adf7cafd1d9a",
+        ],
+    },
+    "ghz3": {
+        "dense-clifford": [
+            "3a36c6f54638a4e14ee20c72ee5906f24d9d06628d4fa207912e778364633c23",
+            "0f18efb386b7f7f0bb5a1b89f79d7715e0cac052eeb39d6cfe35b38b8750e84b",
+            "c6ba90da92fdf3fa424379382f3c35cbfd576577b91fa23bd843592448189298",
+            "38299967d7fcff580211877e7e24974d1191a79aae92ae2dbecb330103493b10",
+        ],
+        "stabilizer": [
+            "93ce783f0e2f9849c6fe61b62ce2afd2253229bd883a330247e773dbca771adb",
+            "8fdefb6d641b6f0ad4030a2269eca27e7e23b082f27f21346b59530f32332246",
+            "e07e979cdf20be8e9caa026e80d4c10e69da950be0201f80239bc36c0aefcded",
+            "e502fc5003b1ed8d4df118dc41abac589c0315272dc20764d1284a2fbec684a4",
+        ],
+        "statevector": [
+            "09002d49a9d0d937771e575096cdecdc7c23c2e4d50154061f7fa4d8ce988bca",
+            "594c7d3a2b977f5c89a599ab79410bda95bec0d490b6a125dca1dd5f0a692e95",
+            "003bc95a12725605d6094ff34020a471da5ed6554b89ccd0be4fabd6581928a6",
+            "74fc6a7b05056fbf6eba6e936f0ed1f901e3a4e1b8cde85e4cbc04d0e2ceff16",
+        ],
+        "validate": [
+            "76d171297f479dd7e7806f7e63fdb09661962efa911d247b9d8a47b602c7eaae",
+            "655c659faa92f0e7534041dee6f2629617943ed3dc574bd41bacf3520820735c",
+            "559e3685bcd04b66f7eaa611b7146da80d4837b34a630835b72ce45714ba31f7",
+            "923ab1d99aba345b3ee4884fb44ca0d1baf28bd51383c9cf640d0581883e219b",
+        ],
+    },
+    "many_measures": {
+        "dense-clifford": [
+            "7e4c0f2ccd7c1ead2397520f8614a1f3740a3ecb5ab71b9e4a968f39579c78ab",
+            "9f622e7e36616a56d8b2be64f9dafff83e375b2cdaedb5502fd96b9000982bbd",
+            "e144f5526bd507c7bbec01f8ace32fe3fe895ecacbd802f1d53c17e2d6d43755",
+            "b59888de84967831fe33a062df9b6c971f802937fa7a003f77ade632861ce27c",
+        ],
+        "stabilizer": [
+            "77c3858d3b2da8186fb20b3f9c22ba49ee27f1b131c6edde17755d5cad7afeda",
+            "ee3f40d225f0a8de0d22993195f67c105c72415c2b60c074d1d2dd88fef2609b",
+            "7e2dab56f2234ea6c4702901eb45d9f9fd49209edb1966d7f7256b70ea7e64e6",
+            "8d8110976088b79c072e30198bd1026704b6d1e4ba21fce665278d84a03c85f1",
+        ],
+        "statevector": [
+            "6897931873e0f632a256284c172379c14596f016babc0559c09f98f590b722a7",
+            "c5d376efb1413f21135a42a9636d39ea47011ad24f9a0a0cf50f3791186ba879",
+            "ec3edfa32fa165128b0501ebde971e20f666c7b43cdfcbcdae482d33ac60f578",
+            "e8e83b808de4cdd6892f8eda59cfabe7a59f121f8f4a7053244d28e3dea8ad95",
+        ],
+        "validate": [
+            "dbf2e661edc58e495f499f6b63b4db12171c2094576a7ec0869305b9ffeb9fff",
+            "addc82802461cdfc98ac3e0c69b862b80d452fe22fc0d5397401f78c95697d1d",
+            "7a247d44e5d33063150541f5c4f0289c6e4a5c7c36b10b77258e33fd9ca86237",
+            "8043385690d76e7f0d5167d17fa194eee2514ac2f5fcdece524bea78c6c82b1e",
+        ],
+    },
+    "random0": {
+        "dense-clifford": [
+            "2050c30128dba2e6f67bb5151ec8502435d330653b21bc4894f582a401f16843",
+            "6ff0b4686237881373e440dc2d362a0b246f96b42e0cae3a157973f8d0951ab2",
+            "983430610d681d4450f506bae52e5dbb7897f6470cec63cc5c5de2d6d1b292a5",
+            "5fe401035e19a96bfe87011e469c0531e81f0aaf6c1dac7f0275f8cb91de5d48",
+        ],
+        "stabilizer": [
+            "cb6db3bb13c66927c19994003447a9e1ad52e166d56a23c237e9f733cf81f939",
+            "da92ba94d00c9f6272bc0ce6dd7a820070a595c92d043829b5546512594bf1c8",
+            "6b1f64ff137fe967b30dc0f4d82fd5b407856a07c27f94429c54ad01154e4309",
+            "795f7668abdbe001264e89e61badef52f889bda5aca386514ffbd0a655e5e568",
+        ],
+        "statevector": [
+            "820b2712b01574374bd064537340d9ac469bc6ce29f9f08cd066ec7853208f43",
+            "96f42e9366ed457bbc5d6394f3b0aeccf46301bc9b252890b1e561c0fa93b9cf",
+            "eb7929040035361bf5a361a05b0622816db1d850fc19e1cf83f230e2d3a60eec",
+            "fecf2c0399243c96c8da72739f8c71fdc23b5ba2812d623305ae007b058072e6",
+        ],
+        "validate": [
+            "45c373d79133a62c75cc2832d0e85e15b914dc7ac06032cb86442b2a7a490410",
+            "8c7e4fa9abb2bf5e9fd95c5b9851da42b28417648276c6bec255341cf035b0f7",
+            "0c14dde2a060ab977121710ef8630b266d61b6727806e4153baf0d1074526145",
+            "7902d7d2676608d3e889628ad9b0c818e1f6df7a782d4d436665dae109e76804",
+        ],
+    },
+    "random1": {
+        "dense-clifford": [
+            "52bc3e2399ede98d6ae2427b226f04a8028b351e7df2cd69adeafb34dca5a142",
+            "4225256e811fb4aaa9fcc1407702e088797c37bbc4c3660902b6cd3f7ff1ab7c",
+            "65fd7bcb5d7a2f8113e8f29ec1583500e370042149a08b0246ef563da1439b3e",
+            "b1e4897d9bbca60512942fe7d28c229d1fb63d847d2cbf09c73d82623f57ed0e",
+        ],
+        "stabilizer": [
+            "a2196975df5c4e9470f322762215f61830e1c2c1c216d1f20a79c259bda0ae84",
+            "31f555d28a6059234718d758ebf2ab229afedf45b170aaed1d4dc1e7c78228de",
+            "2d0ce8b623824b5803c3650017679e8e124ab849f8726a1f1559c169166058bd",
+            "167f52052044a4db8b5068d8aea6d16abdb6a4ac8a5e1350cfd90947fddcb324",
+        ],
+        "statevector": [
+            "542205bc3adcf006098f15c63e64f75c98344634e5237fc281520fc95889fe7f",
+            "c02b193b5a2bac271f4948d363e9d430bda4ec833a6f0f3cb3551f41bf7dd165",
+            "02c57743c63930120f38de4829f6ec7e981aa4b81f4d3c89dac50287a5213d1a",
+            "436d3ae4f36d1f3d457b678fab33473f8e8989d0d432cb784f625a48624a02d4",
+        ],
+        "validate": [
+            "35a53417f1d9ee2874bd3ff3a961aafc6d9019556bb05afdd9d61c012445f62e",
+            "3068b0776df78d85fb1d84d89f06c320ad02fd834f268111f3160b320f456766",
+            "ae9400f784808872ad007a7a214914c44719ab15cf8aeeeeac390f571b138666",
+            "5fa88e5e4edc2cfb0581df1c7a75b85e01bb8314fe3a6724b3037559ca612d68",
+        ],
+    },
+    "random2": {
+        "dense-clifford": [
+            "c3b05ba8337577341a94b4f1d50fa98e61d5308fc1b741ec3f9fac9340084875",
+            "ea6b4bd87d63804ae4bd93d0afbcd3343e86719824dabd6b5e4f386ebaba45b0",
+            "bc7faa5067c895e18a35912ea6ebf2c7bf1f509f3791e2cd623e8ab8ee01722c",
+            "9c85919ed3a005a9fb5aee203e026ed443003acfb910791c4d207bc6c51d35e5",
+        ],
+        "stabilizer": [
+            "c935a6db84b2aea6e18bf7282807e478e6ea466767fdb18780bfc7a99d563751",
+            "462f9cd53e90313be33b19304bc5581f3fba38bf7992c8c3ccf3583f8a816407",
+            "086a1aa7b5ce8dc8e8cf5f25eef6e442312df5d292dd063c8c7d002253cf81b4",
+            "2c8e0e677b28038f61d15e1d11d1f9f888dd2f3f8ca20975493f045953ddaba9",
+        ],
+        "statevector": [
+            "0ad11422232e93c75bcfbc7906e5a6069a947503cf134d77f37cfff8f5ddb0d5",
+            "a9a61085521f4247f7624407c313fd050c303dd4f1160f380cfbf8d01050d80f",
+            "3c58904cf40941f2a050b7fc8605c788c3fdc7ef5f45f1d16faf49802d34f963",
+            "6b452d32769b837cf41c01ebb5dc07d6836c2ed257b6a544e97e5f2a196e63f6",
+        ],
+        "validate": [
+            "321b4ad07fd4eaa331d2299416a7f27e7e898fd0a2a6e69b86ed6223ff358b2b",
+            "bb587dcc0327fda6bca303d28a5595d2aa06998ea2f1951abc03f80bc50c2cc6",
+            "4415d9074e161dff2bb4576db5ccca16e4ab07f0497dd05570a34541b68af0c0",
+            "1369d195f0d1d7a0de06dd69065f39a990ebca027ae8eb0d7fe21b1980d66c62",
+        ],
+    },
+    "teleport_like": {
+        "dense-clifford": [
+            "a2205eaf34cd65753784fda94cd75405eef38e5ba661b9b82d215e87365c4aad",
+            "043d2dccbe4f37fa86d3b1867e90bbe6053f6a9ab7f32ba136a6e13729501206",
+            "63a93beebcbb1b7a210dccd48b76f282014ac60f075072298a0e573bf4bd273f",
+            "1318ebbe3079b85ce8ac5400b42833c46245a774a9fcb8d54b12dff8b48c912b",
+        ],
+        "stabilizer": [
+            "f1f9312525c4d1759bae358de3b2c2ccf8d9af83ba41256198c41acc6282c30a",
+            "0bdf8a183fb573512225e6bfc1eacb411914489f747351a621684fde953dd577",
+            "ab78e15b621eca71e61ba396460ad0ceec71d12e35d9bf7930de0ff4469bbc0e",
+            "b95a0a1dfb2b21cb1064c75045ec30fca5a4c07b8cf7fd1e8b9aebf3cbc7f78c",
+        ],
+        "statevector": [
+            "fd01bdda299d3a2980a533b0577c207b009058ba39d2fe3f54ecf02fc6158579",
+            "d05b379a9e238a73dc894659b8848dc5de1fc33bef60d0a6a117565ac370900a",
+            "963d372cf7a21468d9927e900360bf171ba028c957f86700eceb5ee9db9c4bfd",
+            "be2292a180b08ed239c419b759c101d95393d372e695fe66dc1dce99378a8ad9",
+        ],
+        "validate": [
+            "848ec5b55e34fa2a990f0608befde41c5de2e3a188d3ef355886fb0563c4252d",
+            "3518fe19c95b8492c2337771e6e5251bf5a780d3e5017c79f7867d07a3974a3b",
+            "1dab8db1ee2cb4f274ca875cb91cf648d61797e232a165fa2a1a1b2d5f36026e",
+            "7d0f229dbd9c9d76d027fca43e3d130ad61d44f913748dfaf9d03ade0dbbde1c",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_reports_match_pinned_digests(name):
+    assert _digests(CIRCUITS[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: _digests(c) for name, c in CIRCUITS.items()}, indent=4, sort_keys=True))
