@@ -68,7 +68,7 @@ from .strings import (
     reverse_string,
     string_mul,
 )
-from .tableau import Tableau, new_tableau
+from .tableau import Tableau
 
 __version__ = "0.1.0"
 
@@ -110,7 +110,6 @@ __all__ = [
     "inner",
     "local_blade",
     "matrix_pairs",
-    "new_tableau",
     "oracle_cap",
     "parse",
     "pauli_matrix",

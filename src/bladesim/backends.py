@@ -6,9 +6,10 @@ Backends:
                       operator pairs; capped by the dense-oracle limit.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
-Every backend derives one random stream per shot from (seed, shot index), so
-a report is reproducible from its flags regardless of execution order.  The
-gate prefix before the first measurement is evolved once and snapshotted.
+All three run through one shot driver, `_shots`, and differ only in a start
+state, a gate `step` and a `measure`.  Acting with g on a state prepared by h
+is preparing with g h, so the gate prefix before the first measurement is
+evolved once; each shot copies it and draws from its own (seed, shot) stream.
 """
 
 from __future__ import annotations
@@ -59,108 +60,73 @@ def _counts(circuit: Circuit, records: list[list[int]]) -> dict[str, int]:
     return counts
 
 
-def _split_at_first_measure(circuit: Circuit) -> int:
-    for i, op in enumerate(circuit.ops):
-        if op.is_measure:
-            return i
-    return len(circuit.ops)
+def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure, copy=lambda s: s):
+    """The one shot loop shared by every backend; returns (records, last state).
 
-
-def _run_stabilizer(circuit: Circuit, shots: int, seed: int):
-    cut = _split_at_first_measure(circuit)
-    base = Tableau(circuit.n)
-    for op in circuit.ops[:cut]:
-        base.apply_gate(op)
-    records = []
-    last = base
+    `step(state, op)` applies a gate and `measure(state, q, rng)` returns
+    (state, outcome); both may update in place or return a new state.  The
+    prefix before the first measurement is evolved once, then each shot
+    starts from `copy` of it with its own (seed, shot) stream.
+    """
+    ops = circuit.ops
+    cut = next((i for i, op in enumerate(ops) if op.is_measure), len(ops))
+    for op in ops[:cut]:
+        state = step(state, op)
+    base, records = state, []
     for shot in range(shots):
-        t = base.copy()
+        state = copy(base)
         rng = _shot_rng(seed, shot)
         rec = []
-        for op in circuit.ops[cut:]:
+        for op in ops[cut:]:
             if op.is_measure:
-                outcome, _ = t.measure_z(op.qubits[0], rng)
+                state, outcome = measure(state, op.qubits[0], rng)
                 rec.append(outcome)
             else:
-                t.apply_gate(op)
+                state = step(state, op)
         records.append(rec)
-        last = t
-    return records, {"stabilizers": last.stabilizer_lines()}
+    return records, state
 
 
-def _run_statevector(circuit: Circuit, shots: int, seed: int):
-    cut = _split_at_first_measure(circuit)
-    base = sv.zero_state(circuit.n)
-    for op in circuit.ops[:cut]:
-        base = sv.apply_gate(base, op, circuit.n)
-    records = []
-    last = base
-    for shot in range(shots):
-        state = base
-        rng = _shot_rng(seed, shot)
-        rec = []
-        for op in circuit.ops[cut:]:
-            if op.is_measure:
-                state, outcome, _ = sv.measure(state, op.qubits[0], circuit.n, rng)
-                rec.append(outcome)
-            else:
-                state = sv.apply_gate(state, op, circuit.n)
-        records.append(rec)
-        last = state
-    return records, {"statevector": statevector_pairs(last)}
+def _tableau_measure(t: Tableau, q: int, rng) -> tuple[Tableau, int]:
+    return t, t.measure_z(q, rng)[0]
 
 
-def _ideal_p1(state: IdealState, q: int) -> tuple[float, np.ndarray]:
-    amps = to_statevector(state)
-    w = np.abs(amps) ** 2
-    total = float(w.sum())
-    bit = ((np.arange(w.size) >> (state.n - 1 - q)) & 1).astype(bool)
-    return float(w[bit].sum() / total), w
-
-
-def _ideal_collapse(state: IdealState, q: int, outcome: int, weight: float) -> IdealState:
-    proj = OperatorPair.real(qubit_projector(state.n, q, outcome))
-    projected = apply(proj, state)
-    return IdealState(state.n, projected.psi * (1.0 / math.sqrt(weight)))
-
-
-def _run_dense_clifford(circuit: Circuit, shots: int, seed: int):
-    n = circuit.n
-    check_cap(n, "dense-clifford backend")
+def _operator_pairs(circuit: Circuit) -> dict:
+    """Operator pair of every distinct (kind, qubits) gate, each built once."""
     pairs = {}
     for op in circuit.ops:
         if not op.is_measure and (op.kind, op.qubits) not in pairs:
-            pairs[(op.kind, op.qubits)] = gate_to_operator_pair(op, n)
-    cut = _split_at_first_measure(circuit)
-    base = IdealState.zero_state(n)
-    for op in circuit.ops[:cut]:
-        base = apply(pairs[(op.kind, op.qubits)], base)
-    records = []
-    last = base
-    for shot in range(shots):
-        state = base
-        rng = _shot_rng(seed, shot)
-        rec = []
-        for op in circuit.ops[cut:]:
-            if op.is_measure:
-                q = op.qubits[0]
-                p1, w = _ideal_p1(state, q)
-                outcome = 1 if rng.random() < p1 else 0
-                branch = p1 if outcome else 1.0 - p1
-                state = _ideal_collapse(state, q, outcome, branch * float(w.sum()))
-                rec.append(outcome)
-            else:
-                state = apply(pairs[(op.kind, op.qubits)], state)
-        records.append(rec)
-        last = state
-    return records, {"statevector": statevector_pairs(to_statevector(last))}
+            pairs[(op.kind, op.qubits)] = gate_to_operator_pair(op, circuit.n)
+    return pairs
 
 
-_RUNNERS = {
-    "stabilizer": _run_stabilizer,
-    "statevector": _run_statevector,
-    "dense-clifford": _run_dense_clifford,
-}
+def _ideal_p1(state: IdealState, q: int) -> tuple[float, float]:
+    """Probability of outcome 1 on qubit q, and the state's total weight."""
+    w = np.abs(to_statevector(state)) ** 2
+    total = float(w.sum())
+    bit = ((np.arange(w.size) >> (state.n - 1 - q)) & 1).astype(bool)
+    return float(w[bit].sum() / total), total
+
+
+def _ideal_collapse(state: IdealState, q: int, outcome: int, p1: float, total: float) -> IdealState:
+    """Project qubit q onto `outcome` and renormalize by that branch's weight."""
+    branch = p1 if outcome else 1.0 - p1
+    projected = apply(OperatorPair.real(qubit_projector(state.n, q, outcome)), state)
+    return IdealState(state.n, projected.psi * (1.0 / math.sqrt(branch * total)))
+
+
+def _ideal_measure(state: IdealState, q: int, rng) -> tuple[IdealState, int]:
+    p1, total = _ideal_p1(state, q)
+    outcome = 1 if rng.random() < p1 else 0
+    return _ideal_collapse(state, q, outcome, p1, total), outcome
+
+
+def _frequencies(records: list[list[int]]) -> dict[tuple, float]:
+    freqs: dict[tuple, float] = {}
+    for rec in records:
+        key = tuple(rec)
+        freqs[key] = freqs.get(key, 0.0) + 1.0 / len(records)
+    return freqs
 
 
 def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int = 0) -> dict:
@@ -173,8 +139,22 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    n = circuit.n
     t0 = time.perf_counter()
-    records, final = _RUNNERS[backend](circuit, shots, seed)
+    if backend == "stabilizer":
+        records, t = _shots(circuit, shots, seed, Tableau(n), Tableau.apply_gate, _tableau_measure, Tableau.copy)
+        final = {"stabilizers": t.stabilizer_lines()}
+    elif backend == "statevector":
+        step = lambda v, op: sv.apply_gate(v, op, n)  # noqa: E731
+        measure = lambda v, q, rng: sv.measure(v, q, n, rng)[:2]  # noqa: E731
+        records, v = _shots(circuit, shots, seed, sv.zero_state(n), step, measure)
+        final = {"statevector": statevector_pairs(v)}
+    else:
+        check_cap(n, "dense-clifford backend")
+        pairs = _operator_pairs(circuit)
+        step = lambda s, op: apply(pairs[(op.kind, op.qubits)], s)  # noqa: E731
+        records, s = _shots(circuit, shots, seed, IdealState.zero_state(n), step, _ideal_measure)
+        final = {"statevector": statevector_pairs(to_statevector(s))}
     elapsed = time.perf_counter() - t0
     return {
         "backend": backend,
@@ -240,17 +220,19 @@ def validate(
     n = circuit.n
     checks = []
 
-    # tableau group structure after every gate and measurement
+    # tableau group structure after every gate and measurement of shot 0
+    def checked(adapter):
+        def wrapped(t, *args):
+            out = adapter(t, *args)
+            t.check_invariants()
+            return out
+
+        return wrapped
+
     try:
         t = Tableau(n)
-        rng = _shot_rng(seed, 0)
         t.check_invariants()
-        for op in circuit.ops:
-            if op.is_measure:
-                t.measure_z(op.qubits[0], rng)
-            else:
-                t.apply_gate(op)
-            t.check_invariants()
+        _shots(circuit, 1, seed, t, checked(Tableau.apply_gate), checked(_tableau_measure))
         checks.append({"name": "tableau_invariants", "passed": True, "detail": "ok"})
     except TableauInvariantError as err:
         checks.append({"name": "tableau_invariants", "passed": False, "detail": str(err)})
@@ -275,10 +257,7 @@ def validate(
     )
 
     # algebra-resident evolution against the state vector, shared outcomes
-    pairs = {}
-    for op in circuit.ops:
-        if not op.is_measure and (op.kind, op.qubits) not in pairs:
-            pairs[(op.kind, op.qubits)] = gate_to_operator_pair(op, n)
+    pairs = _operator_pairs(circuit)
     state_sv = sv.zero_state(n)
     state_dc = IdealState.zero_state(n)
     rng = _shot_rng(seed, 1)
@@ -287,12 +266,11 @@ def validate(
         if op.is_measure:
             q = op.qubits[0]
             p1_sv = sv.born_p1(state_sv, q, n)
-            p1_dc, w = _ideal_p1(state_dc, q)
+            p1_dc, total = _ideal_p1(state_dc, q)
             dev = max(dev, abs(p1_sv - p1_dc))
             outcome = 1 if rng.random() < p1_sv else 0
             state_sv = sv.collapse(state_sv, q, n, outcome)
-            branch = p1_dc if outcome else 1.0 - p1_dc
-            state_dc = _ideal_collapse(state_dc, q, outcome, branch * float(w.sum()))
+            state_dc = _ideal_collapse(state_dc, q, outcome, p1_dc, total)
         else:
             state_sv = sv.apply_gate(state_sv, op, n)
             state_dc = apply(pairs[(op.kind, op.qubits)], state_dc)
@@ -309,22 +287,14 @@ def validate(
     # empirical state-vector reference when there are too many measurements
     # to enumerate every branch)
     if circuit.measure_count > 0 and shots > 0:
-        report = run(circuit, "stabilizer", shots=shots, seed=seed)
-        freqs: dict[tuple, float] = {}
-        for rec in report["records"]:
-            key = tuple(rec)
-            freqs[key] = freqs.get(key, 0.0) + 1.0 / shots
+        freqs = _frequencies(run(circuit, "stabilizer", shots=shots, seed=seed)["records"])
         enumerable = circuit.measure_count <= BORN_ENUMERATION_LIMIT
         if enumerable:
             dist = born_distribution(circuit)
             tol = stat_tol
             impossible = [k for k in freqs if k not in dist]
         else:
-            ref = run(circuit, "statevector", shots=shots, seed=seed)
-            dist = {}
-            for rec in ref["records"]:
-                key = tuple(rec)
-                dist[key] = dist.get(key, 0.0) + 1.0 / shots
+            dist = _frequencies(run(circuit, "statevector", shots=shots, seed=seed)["records"])
             tol = stat_tol * math.sqrt(2.0)  # two sampled sides
             impossible = []
         worst = 0.0

@@ -16,66 +16,53 @@ KERNELS = ("pauli-mul", "tableau-gate")
 TABLEAU_GATE_SIZE_CAP = 1 << 14
 
 
-def random_pauli(n: int, rng) -> PauliString:
+def _random_masks(n: int, rng) -> tuple[int, int]:
     nbytes = (n + 7) // 8
     mask = (1 << n) - 1
-    x = int.from_bytes(rng.bytes(nbytes), "little") & mask
-    z = int.from_bytes(rng.bytes(nbytes), "little") & mask
-    return PauliString(n, x, z, int(rng.integers(4)))
+    return tuple(int.from_bytes(rng.bytes(nbytes), "little") & mask for _ in range(2))
+
+
+def random_pauli(n: int, rng) -> PauliString:
+    return PauliString(n, *_random_masks(n, rng), int(rng.integers(4)))
 
 
 def random_blades(n: int, rng) -> BladeString:
-    nbytes = (n + 7) // 8
-    mask = (1 << n) - 1
-    e1 = int.from_bytes(rng.bytes(nbytes), "little") & mask
-    e2 = int.from_bytes(rng.bytes(nbytes), "little") & mask
-    return BladeString(n, e1, e2, int(rng.choice((1, -1))))
+    return BladeString(n, *_random_masks(n, rng), int(rng.choice((1, -1))))
+
+
+def _time_calls(fn, arglists: list[tuple], reps: int) -> list[float]:
+    """Per-call wall times in ns; each rep calls `fn` once per argument tuple."""
+    for args in arglists:  # warm-up
+        fn(*args)
+    samples = []
+    for _ in range(reps):
+        t0 = time.perf_counter_ns()
+        for args in arglists:
+            fn(*args)
+        samples.append((time.perf_counter_ns() - t0) / len(arglists))
+    return samples
+
+
+def _time_products(n: int, reps: int, seed: int, inner: int, make, mul) -> list[float]:
+    rng = np.random.default_rng([seed, n])
+    return _time_calls(mul, [(make(n, rng), make(n, rng)) for _ in range(inner)], reps)
 
 
 def time_string_mul(n: int, reps: int = 20, seed: int = 0, inner: int = 4) -> list[float]:
     """Per-call wall times in ns for the blade-string product."""
-    rng = np.random.default_rng([seed, n])
-    pairs = [(random_blades(n, rng), random_blades(n, rng)) for _ in range(inner)]
-    for a, b in pairs:  # warm-up
-        string_mul(a, b)
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        for a, b in pairs:
-            string_mul(a, b)
-        samples.append((time.perf_counter_ns() - t0) / inner)
-    return samples
+    return _time_products(n, reps, seed, inner, random_blades, string_mul)
 
 
 def time_pauli_mul(n: int, reps: int = 20, seed: int = 0, inner: int = 4) -> list[float]:
     """Per-call wall times in ns; each rep times `inner` products."""
-    rng = np.random.default_rng([seed, n])
-    pairs = [(random_pauli(n, rng), random_pauli(n, rng)) for _ in range(inner)]
-    for a, b in pairs:  # warm-up
-        pauli_mul(a, b)
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        for a, b in pairs:
-            pauli_mul(a, b)
-        samples.append((time.perf_counter_ns() - t0) / inner)
-    return samples
+    return _time_products(n, reps, seed, inner, random_pauli, pauli_mul)
 
 
 def time_tableau_gate(n: int, reps: int = 20, seed: int = 0, gates_per_rep: int = 4) -> list[float]:
     """Per-gate wall times in ns on a fresh tableau (H on random qubits)."""
     rng = np.random.default_rng([seed, n])
-    t = Tableau(n)
-    qubits = [int(q) for q in rng.integers(0, n, size=gates_per_rep)]
-    for q in qubits:  # warm-up
-        t.h(q)
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        for q in qubits:
-            t.h(q)
-        samples.append((time.perf_counter_ns() - t0) / gates_per_rep)
-    return samples
+    qubits = rng.integers(0, n, size=gates_per_rep)
+    return _time_calls(Tableau(n).h, [(int(q),) for q in qubits], reps)
 
 
 def bench_rows(sizes, reps: int = 20, kernels=KERNELS, seed: int = 0) -> list[dict]:

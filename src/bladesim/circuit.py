@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BladesimError
+
 ONE_QUBIT_GATES = ("h", "s", "sdg", "x", "y", "z")
 TWO_QUBIT_GATES = ("cnot", "cz", "swap")
 MEASURE = "measure"
@@ -31,7 +33,7 @@ _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"\d+\Z")
 
 
-class ParseError(Exception):
+class ParseError(BladesimError):
     """Syntax or validity error with a 1-based source position."""
 
     def __init__(self, line: int, column: int, message: str, token: str = ""):

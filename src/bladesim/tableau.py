@@ -228,8 +228,3 @@ class Tableau:
                     break
         if len(pivots) != 2 * n:
             raise TableauInvariantError("generator rows are linearly dependent over GF(2)")
-
-
-def new_tableau(n: int) -> Tableau:
-    """Fresh |0...0> tableau: X_j destabilizers, Z_j stabilizers."""
-    return Tableau(n)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bladesim import Circuit, GateOp, ParseError, parse, random_clifford_circuit, serialize
+from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, serialize
 from corpus import INVALID_FILES, VALID_FILES
 
 
@@ -33,6 +33,7 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse("qubits 2\n  frobnicate 1")
     assert (e.value.line, e.value.column) == (2, 3)
+    assert issubclass(ParseError, BladesimError)
 
 
 def test_valid_corpus_round_trips():

@@ -90,7 +90,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code = main(["run", str(bad)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "line 2" in err
+    assert err.startswith("parse error: line 2")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -196,8 +196,10 @@ def test_text_round_trip_bit_exact(n, data):
 def test_string_mul_time_scales_gently():
     from bladesim.bench import time_string_mul
 
-    t19 = np.median(time_string_mul(2**19, reps=20, seed=2))
-    t20 = np.median(time_string_mul(2**20, reps=20, seed=2))
+    # both sizes back to back in every rep, so a slow spell of a shared host
+    # lands on both sides of the ratio
+    pairs = [[time_string_mul(n, reps=1, seed=2)[0] for n in (2**19, 2**20)] for _ in range(20)]
+    t19, t20 = np.median(pairs, axis=0)
     assert t20 / t19 <= 3.0, (t19, t20)
 
 

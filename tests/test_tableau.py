@@ -9,20 +9,19 @@ from bladesim import (
     PauliString,
     Tableau,
     TableauInvariantError,
-    new_tableau,
     random_clifford_circuit,
 )
 from oracles import gate_unitary, pauli_matrix_oracle
 
 
 def test_fresh_tableau():
-    t = new_tableau(1)
+    t = Tableau(1)
     assert t.stabilizer_lines() == ["+Z"]
     assert [r.to_text() for r in t.destabilizers] == ["X"]
-    t3 = new_tableau(3)
+    t3 = Tableau(3)
     assert t3.stabilizer_lines() == ["+ZII", "+IZI", "+IIZ"]
     with pytest.raises(ValueError):
-        new_tableau(0)
+        Tableau(0)
 
 
 def test_single_qubit_conjugation_against_oracle():
@@ -189,6 +188,8 @@ def test_gate_validation():
 def test_gate_time_scales_gently():
     from bladesim.bench import time_tableau_gate
 
-    t512 = np.median(time_tableau_gate(512, reps=30, seed=1))
-    t1024 = np.median(time_tableau_gate(1024, reps=30, seed=1))
+    # both sizes back to back in every rep, so a slow spell of a shared host
+    # lands on both sides of the ratio
+    pairs = [[time_tableau_gate(n, reps=1, seed=1)[0] for n in (512, 1024)] for _ in range(30)]
+    t512, t1024 = np.median(pairs, axis=0)
     assert t1024 / t512 <= 5.0, (t512, t1024)
