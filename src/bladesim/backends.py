@@ -6,7 +6,7 @@ Backends:
                       operator pairs; capped by the dense-oracle limit.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
-All three run through one shot driver, `_shots`, and differ only in a start
+All three run through one shot loop, `_shots`, and differ only in a start
 state, a gate `step` and a `measure`.  Acting with g on a state prepared by h
 is preparing with g h, so the gate prefix before the first measurement is
 evolved once; each shot copies it and draws from its own (seed, shot) stream.
