@@ -146,7 +146,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         final = {"stabilizers": t.stabilizer_lines()}
     elif backend == "statevector":
         step = lambda v, op: sv.apply_gate(v, op, n)  # noqa: E731
-        measure = lambda v, q, rng: sv.measure(v, q, n, rng)[:2]  # noqa: E731
+        measure = lambda v, q, rng: sv.measure(v, q, n, rng)  # noqa: E731
         records, v = _shots(circuit, shots, seed, sv.zero_state(n), step, measure)
         final = {"statevector": statevector_pairs(v)}
     else:

@@ -1,31 +1,27 @@
-"""Exact arithmetic in the four-dimensional real algebra of the Euclidean plane.
+"""The four-dimensional real algebra of the Euclidean plane: the one-qubit case of `dense`.
 
 Generators e1, e2 square to +1 and anticommute; the basis blades are indexed
 0..3 as {1, e1, e2, e12} with e12 = e1*e2.  Bit 0 of a blade index flags an e1
-factor and bit 1 an e2 factor, so the blade index of a product is the XOR of
-the operand indices and only the sign needs a lookup.
+factor and bit 1 an e2 factor, which is the n = 1 layout of `dense`.  The
+product, its sign rule and reversion are therefore not written here: `gp` and
+`reverse` are `dense_gp` and `reverse_dense`, and `blade_mul` is the packed
+`string_mul` on one-qubit blade strings.  What exists only for a single factor
+(grades, the outer and inner products, the projector) stays in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .dense import DenseMultivector, dense_gp, reverse_dense
+from .strings import BladeString, string_mul
 
 BLADE_NAMES = ("1", "e1", "e2", "e12")
 
 # grade = popcount of the blade index
 GRADES = (0, 1, 1, 2)
-
-# sign of blade product a*b: -1 exactly when a contains e2 and b contains e1
-# (one transposition e2 e1 -> -e1 e2; the squares contribute nothing)
-SIGN_TABLE = (
-    (1, 1, 1, 1),
-    (1, 1, 1, 1),
-    (1, -1, 1, -1),
-    (1, -1, 1, -1),
-)
 
 
 class SignedBlade(NamedTuple):
@@ -37,21 +33,15 @@ def blade_mul(a: int, b: int) -> SignedBlade:
     """Product of two basis blades as a signed blade."""
     if not (0 <= a <= 3 and 0 <= b <= 3):
         raise ValueError(f"blade index out of range: {a}, {b}")
-    return SignedBlade(SIGN_TABLE[a][b], a ^ b)
+    p = string_mul(BladeString.from_codes((a,)), BladeString.from_codes((b,)))
+    return SignedBlade(p.sign, p.codes[0])
 
 
-@dataclass(frozen=True, eq=False)
-class Multivector2:
-    """General element c[0]*1 + c[1]*e1 + c[2]*e2 + c[3]*e12."""
+class Multivector2(DenseMultivector):
+    """General element c[0]*1 + c[1]*e1 + c[2]*e2 + c[3]*e12 (a dense element at n = 1)."""
 
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.c, dtype=np.float64)
-        if c.shape != (4,):
-            raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+    def __init__(self, c):
+        super().__init__(1, c)
 
     @classmethod
     def zero(cls) -> "Multivector2":
@@ -66,29 +56,6 @@ class Multivector2:
         c = np.zeros(4)
         c[code] = coeff
         return cls(c)
-
-    def __add__(self, other: "Multivector2") -> "Multivector2":
-        return Multivector2(self.c + other.c)
-
-    def __sub__(self, other: "Multivector2") -> "Multivector2":
-        return Multivector2(self.c - other.c)
-
-    def __neg__(self) -> "Multivector2":
-        return Multivector2(-self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector2):
-            return gp(self, other)
-        return Multivector2(self.c * float(other))
-
-    def __rmul__(self, other) -> "Multivector2":
-        return Multivector2(self.c * float(other))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multivector2) and np.array_equal(self.c, other.c)
-
-    def __hash__(self):
-        return hash(self.c.tobytes())
 
     def __repr__(self) -> str:
         terms = [
@@ -105,20 +72,11 @@ E2 = Multivector2.blade(2)
 E12 = Multivector2.blade(3)
 J = E12
 
-
-def gp(x: Multivector2, y: Multivector2) -> Multivector2:
-    """Geometric product, the bilinear extension of the blade table."""
-    out = np.zeros(4)
-    for a in range(4):
-        xa = x.c[a]
-        if xa == 0.0:
-            continue
-        for b in range(4):
-            out[a ^ b] += SIGN_TABLE[a][b] * xa * y.c[b]
-    return Multivector2(out)
+gp = dense_gp
+reverse = reverse_dense
 
 
-def grade(x: Multivector2, k: int) -> Multivector2:
+def grade(x: DenseMultivector, k: int) -> Multivector2:
     """Projection onto the grade-k part."""
     if k not in (0, 1, 2):
         raise ValueError(f"grade must be 0, 1 or 2, got {k}")
@@ -126,12 +84,7 @@ def grade(x: Multivector2, k: int) -> Multivector2:
     return Multivector2(out)
 
 
-def reverse(x: Multivector2) -> Multivector2:
-    """Reversion: fixes grades 0 and 1, negates the bivector part."""
-    return Multivector2(x.c * np.array([1.0, 1.0, 1.0, -1.0]))
-
-
-def wedge(x: Multivector2, y: Multivector2) -> Multivector2:
+def wedge(x: DenseMultivector, y: DenseMultivector) -> DenseMultivector:
     """Outer product: grade-(r+s) part of the product of grade components."""
     out = Multivector2.zero()
     for r in range(3):
@@ -143,7 +96,7 @@ def wedge(x: Multivector2, y: Multivector2) -> Multivector2:
     return out
 
 
-def inner(x: Multivector2, y: Multivector2) -> Multivector2:
+def inner(x: DenseMultivector, y: DenseMultivector) -> DenseMultivector:
     """Inner product: grade-|r-s| part of the product of grade components."""
     out = Multivector2.zero()
     for r in range(3):

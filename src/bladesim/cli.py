@@ -25,10 +25,17 @@ def _read_circuit(path: str):
         return parse(fh.read())
 
 
+# bench sizes above this are refused: the product kernels allocate per-size
+# random words, and 2^24 is already well past the 2^20 the timing gates use
+MAX_SIZE = 2**24
+
+
 def _parse_size_item(item: str) -> int:
-    if item.startswith("2^"):
-        return 2 ** int(item[2:])
-    return int(item)
+    # clamping the exponent keeps 2^K for huge K from building a huge int
+    n = 2 ** min(int(item[2:]), 64) if item.startswith("2^") else int(item)
+    if n > MAX_SIZE:
+        raise ValueError(f"size {item!r} is above the limit 2^24")
+    return n
 
 
 def parse_sizes(text: str) -> list[int]:

@@ -81,7 +81,7 @@ class DenseMultivector:
     def basis_blade(cls, n: int, index: int, coeff: float = 1.0) -> "DenseMultivector":
         c = np.zeros(4**n)
         c[index] = coeff
-        return cls(n, c)
+        return DenseMultivector(n, c)
 
     @classmethod
     def from_blade_string(cls, b: BladeString) -> "DenseMultivector":

@@ -32,13 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import dense as _dense
+from .cl2 import E2, gp, idempotent_p
 from .dense import DenseMultivector, dense_gp, reverse_dense
 from .errors import DegenerateStateError, DimensionMismatchError, NotInIdealError
 
-# single-qubit dense factors of the two basis states:
-#   (1 + e1)/2 and e2 * (1 + e1)/2 = (e2 - e12)/2
-_FACTOR0 = np.array([0.5, 0.5, 0.0, 0.0])
-_FACTOR1 = np.array([0.0, 0.0, 0.5, -0.5])
+# single-qubit dense factors of the two basis states: |0> = P and |1> = e2 P
+_FACTOR0 = idempotent_p().c
+_FACTOR1 = gp(E2, idempotent_p()).c
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -93,12 +93,6 @@ def _basis(n: int):
     return cols, dual
 
 
-def basis_state(n: int, b: int) -> DenseMultivector:
-    """The ideal element encoding computational basis state b."""
-    cols, _ = _basis(n)
-    return DenseMultivector(n, cols[:, b].copy())
-
-
 @dataclass(frozen=True)
 class IdealState:
     """A state carried inside the algebra as a dense element of the ideal."""
@@ -114,9 +108,6 @@ class IdealState:
     def zero_state(cls, n: int) -> "IdealState":
         """|0...0>, the vacuum itself."""
         return cls(n, vacuum(n))
-
-    def amplitudes(self, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        return to_statevector(self, tol=tol)
 
 
 def theta(g: DenseMultivector) -> IdealState:
@@ -182,9 +173,6 @@ class OperatorPair:
     @classmethod
     def identity(cls, n: int) -> "OperatorPair":
         return cls.real(DenseMultivector.scalar(n, 1.0))
-
-    def __call__(self, s: IdealState) -> IdealState:
-        return apply(self, s)
 
     def matrix(self) -> np.ndarray:
         """Complex matrix of the operator: rho(a) + i * rho(b)."""

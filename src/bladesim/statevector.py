@@ -95,14 +95,14 @@ def collapse(state: np.ndarray, q: int, n: int, outcome: int) -> np.ndarray:
     return v / norm
 
 
-def measure(state: np.ndarray, q: int, n: int, rng) -> tuple[np.ndarray, int, float]:
+def measure(state: np.ndarray, q: int, n: int, rng) -> tuple[np.ndarray, int]:
     """Sample Z on qubit q, collapse and renormalize.
 
-    Returns (new state, outcome, probability of outcome 1 before collapse).
+    Returns (new state, outcome).
     """
     p1 = born_p1(state, q, n)
     outcome = 1 if rng.random() < p1 else 0
-    return collapse(state, q, n, outcome), outcome, p1
+    return collapse(state, q, n, outcome), outcome
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:

@@ -23,6 +23,9 @@ def test_parse_sizes():
         parse_sizes("8..4")
     with pytest.raises(ValueError):
         parse_sizes("0")
+    assert parse_sizes("2^24") == [2**24]
+    with pytest.raises(ValueError, match="limit 2\\^24"):
+        parse_sizes("2^25")
 
 
 def test_run_writes_report(bell_file, tmp_path, capsys):
@@ -96,6 +99,38 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.qc")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{dir}/nope.qc"],
+        ["run", "{dir}/bad.qc"],
+        ["run", "{dir}/wide6.qc", "--backend", "dense-clifford"],
+        ["run", "{dir}/wide13.qc", "--backend", "statevector"],
+        ["run", "{dir}/bell.qc", "--seed", "-1"],
+        ["bench", "--sizes", "abc"],
+        ["bench", "--sizes", "8..4"],
+        ["bench", "--sizes", "2^-1"],
+        ["bench", "--sizes", "2^70", "--kernel", "pauli-mul"],
+        ["bench", "--sizes", "1..2^70", "--kernel", "pauli-mul"],
+        ["run", "{dir}/bell.qc", "--shots", "0"],
+        ["bench", "--sizes", "64", "--reps", "0"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("{dir}/", ""),
+)
+def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
+    folder = bell_file.parent
+    (folder / "bad.qc").write_text("qubits 2\nh 9\n")
+    for n in (6, 13):
+        (folder / f"wide{n}.qc").write_text(f"qubits {n}\nh 0\nmeasure 0\n")
+    try:
+        code = main([arg.replace("{dir}", str(folder)) for arg in argv])
+    except SystemExit as stop:  # argparse rejects --shots 0 and --reps 0 itself
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() and "Traceback" not in err
 
 
 def test_bench_single_point(tmp_path):

@@ -142,3 +142,19 @@ def test_capacity_limits():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         dense_gp(DenseMultivector.zero(1), DenseMultivector.zero(2))
+
+
+def test_single_qubit_algebra_is_the_n1_dense_case():
+    from bladesim import E1, E2, Multivector2, gp, reverse
+
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-2, 2, 4)
+    assert Multivector2(c) == DenseMultivector(1, c)
+    assert hash(Multivector2(c)) == hash(DenseMultivector(1, c))
+    assert tensor(E1, E2) == dense_gp(local_blade(2, 0, 1), local_blade(2, 1, 2))
+    assert Multivector2.basis_blade(1, 2) == E2  # inherited constructors still work
+    for _ in range(50):
+        x, y = Multivector2(rng.uniform(-2, 2, 4)), Multivector2(rng.uniform(-2, 2, 4))
+        dx, dy = DenseMultivector(1, x.c), DenseMultivector(1, y.c)
+        assert gp(x, y) == dense_gp(dx, dy)
+        assert reverse(x) == reverse_dense(dx)
