@@ -31,9 +31,7 @@ from .dense import (
     DenseMultivector,
     dense_gp,
     local_blade,
-    oracle_cap,
     reverse_dense,
-    set_oracle_cap,
     tensor,
 )
 from .errors import (
@@ -110,7 +108,6 @@ __all__ = [
     "inner",
     "local_blade",
     "matrix_pairs",
-    "oracle_cap",
     "parse",
     "pauli_matrix",
     "pauli_mul",
@@ -124,7 +121,6 @@ __all__ = [
     "rho_matrix",
     "run",
     "serialize",
-    "set_oracle_cap",
     "statevector_pairs",
     "string_mul",
     "tensor",

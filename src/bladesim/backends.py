@@ -32,6 +32,7 @@ BACKENDS = ("stabilizer", "dense-clifford", "statevector")
 EXACT_TOL = 1e-8
 STAT_TOL = 0.02
 BORN_ENUMERATION_LIMIT = 16
+BRANCH_EPS = 1e-12  # Born branches at or below this probability are dropped
 
 
 def _shot_rng(seed: int, shot: int):
@@ -169,16 +170,14 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
     }
 
 
-def born_distribution(
-    circuit: Circuit, max_measures: int = BORN_ENUMERATION_LIMIT, eps: float = 1e-12
-) -> dict:
+def born_distribution(circuit: Circuit) -> dict:
     """Exact outcome-record distribution by branching the state vector.
 
     Returns {record tuple: probability}.  Cost doubles per measurement, so
-    circuits with more than `max_measures` measurements are rejected.
+    circuits with more than BORN_ENUMERATION_LIMIT measurements are rejected.
     """
-    if circuit.measure_count > max_measures:
-        raise ValueError(f"cannot enumerate more than {max_measures} measurements")
+    if circuit.measure_count > BORN_ENUMERATION_LIMIT:
+        raise ValueError(f"cannot enumerate more than {BORN_ENUMERATION_LIMIT} measurements")
     n = circuit.n
     out: dict[tuple, float] = {}
     stack = [(sv.zero_state(n), 0, 1.0, ())]
@@ -193,18 +192,12 @@ def born_distribution(
         q = circuit.ops[i].qubits[0]
         p1 = sv.born_p1(state, q, n)
         for outcome, p in ((0, 1.0 - p1), (1, p1)):
-            if p > eps:
+            if p > BRANCH_EPS:
                 stack.append((sv.collapse(state, q, n, outcome), i + 1, prob * p, rec + (outcome,)))
     return out
 
 
-def validate(
-    circuit: Circuit,
-    shots: int = 10_000,
-    seed: int = 0,
-    exact_tol: float = EXACT_TOL,
-    stat_tol: float | None = None,
-) -> dict:
+def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     """Cross-check the three backends on one circuit.
 
     Exact checks: tableau invariants after every step, every final stabilizer
@@ -215,8 +208,7 @@ def validate(
     four binomial sigmas below that.  The report lists one entry per check.
     """
     check_cap(circuit.n, "validation")
-    if stat_tol is None:
-        stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / max(shots, 1)))
+    stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / max(shots, 1)))
     n = circuit.n
     checks = []
 
@@ -251,7 +243,7 @@ def validate(
     checks.append(
         {
             "name": "stabilizer_rows_fix_oracle_state",
-            "passed": dev <= exact_tol,
+            "passed": dev <= EXACT_TOL,
             "detail": f"max |rho(s) psi - psi| = {dev:.3e}",
         }
     )
@@ -278,7 +270,7 @@ def validate(
     checks.append(
         {
             "name": "dense_clifford_matches_statevector",
-            "passed": dev <= exact_tol,
+            "passed": dev <= EXACT_TOL,
             "detail": f"max deviation = {dev:.3e}",
         }
     )

@@ -6,14 +6,12 @@ import time
 
 import numpy as np
 
+from .circuit import MAX_QUBITS
 from .strings import BladeString, PauliString, pauli_mul, string_mul
 from .tableau import Tableau
 
 KERNELS = ("pauli-mul", "tableau-gate")
-
-# a tableau gate touches all 2n rows, each O(n/w) words, so per-gate time is
-# quadratic-with-word-parallel; sizes above this are skipped for that kernel
-TABLEAU_GATE_SIZE_CAP = 1 << 14
+CALLS_PER_REP = 4  # products or gates timed back to back in one rep
 
 
 def _random_masks(n: int, rng) -> tuple[int, int]:
@@ -43,25 +41,25 @@ def _time_calls(fn, arglists: list[tuple], reps: int) -> list[float]:
     return samples
 
 
-def _time_products(n: int, reps: int, seed: int, inner: int, make, mul) -> list[float]:
+def _time_products(n: int, reps: int, seed: int, make, mul) -> list[float]:
     rng = np.random.default_rng([seed, n])
-    return _time_calls(mul, [(make(n, rng), make(n, rng)) for _ in range(inner)], reps)
+    return _time_calls(mul, [(make(n, rng), make(n, rng)) for _ in range(CALLS_PER_REP)], reps)
 
 
-def time_string_mul(n: int, reps: int = 20, seed: int = 0, inner: int = 4) -> list[float]:
+def time_string_mul(n: int, reps: int = 20, seed: int = 0) -> list[float]:
     """Per-call wall times in ns for the blade-string product."""
-    return _time_products(n, reps, seed, inner, random_blades, string_mul)
+    return _time_products(n, reps, seed, random_blades, string_mul)
 
 
-def time_pauli_mul(n: int, reps: int = 20, seed: int = 0, inner: int = 4) -> list[float]:
-    """Per-call wall times in ns; each rep times `inner` products."""
-    return _time_products(n, reps, seed, inner, random_pauli, pauli_mul)
+def time_pauli_mul(n: int, reps: int = 20, seed: int = 0) -> list[float]:
+    """Per-call wall times in ns; each rep times CALLS_PER_REP products."""
+    return _time_products(n, reps, seed, random_pauli, pauli_mul)
 
 
-def time_tableau_gate(n: int, reps: int = 20, seed: int = 0, gates_per_rep: int = 4) -> list[float]:
+def time_tableau_gate(n: int, reps: int = 20, seed: int = 0) -> list[float]:
     """Per-gate wall times in ns on a fresh tableau (H on random qubits)."""
     rng = np.random.default_rng([seed, n])
-    qubits = rng.integers(0, n, size=gates_per_rep)
+    qubits = rng.integers(0, n, size=CALLS_PER_REP)
     return _time_calls(Tableau(n).h, [(int(q),) for q in qubits], reps)
 
 
@@ -72,7 +70,7 @@ def bench_rows(sizes, reps: int = 20, kernels=KERNELS, seed: int = 0) -> list[di
     for kernel in kernels:
         timer = time_pauli_mul if kernel == "pauli-mul" else time_tableau_gate
         for n in sizes:
-            if kernel == "tableau-gate" and n > TABLEAU_GATE_SIZE_CAP:
+            if kernel == "tableau-gate" and n > MAX_QUBITS:
                 continue
             samples = timer(n, reps=reps, seed=seed)
             rows.append(

@@ -10,8 +10,9 @@ whitespace, keywords lowercase:
                | "measure" INT ["->" INT]
 
 Qubit indices are 0-based.  A measurement without "->" takes the next free
-classical slot.  Files use UTF-8; LF and CRLF are both accepted on input and
-LF is emitted.  Conventional extension: ".qc".
+classical slot.  A file declares at most MAX_QUBITS qubits and uses classical
+slots below MAX_SLOTS.  Files use UTF-8; LF and CRLF are both accepted on
+input and LF is emitted.  Conventional extension: ".qc".
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ from .errors import BladesimError
 ONE_QUBIT_GATES = ("h", "s", "sdg", "x", "y", "z")
 TWO_QUBIT_GATES = ("cnot", "cz", "swap")
 MEASURE = "measure"
+
+# a tableau holds 2n rows of 2n bits (128 MB once the rows fill in at 2^14
+# qubits) and a gate rebuilds up to 2n of them, so the parser and the
+# tableau-gate bench stop at 2^14 qubits; 2^16 slots allow four measurements
+# per qubit there
+MAX_QUBITS = 1 << 14
+MAX_SLOTS = 1 << 16
 
 _ARITY = {**{g: 1 for g in ONE_QUBIT_GATES}, **{g: 2 for g in TWO_QUBIT_GATES}, MEASURE: 1}
 
@@ -110,8 +118,8 @@ def parse(source: str) -> Circuit:
             if len(toks) < 2:
                 raise ParseError(lineno, col0 + len(head), "expected qubit count after 'qubits'")
             count = _int_token(lineno, toks[1][0], toks[1][1], "qubit count")
-            if count < 1:
-                raise ParseError(lineno, toks[1][0], "qubit count must be at least 1", toks[1][1])
+            if not 1 <= count <= MAX_QUBITS:
+                raise ParseError(lineno, toks[1][0], f"qubit count must be 1..{MAX_QUBITS}", toks[1][1])
             if len(toks) > 2:
                 raise ParseError(lineno, toks[2][0], "unexpected token after header", toks[2][1])
             n = count
@@ -130,18 +138,18 @@ def parse(source: str) -> Circuit:
             if not args:
                 raise ParseError(lineno, col0 + len(head), "expected qubit index after 'measure'")
             q = _qubit(lineno, args[0], n)
-            slot = None
+            slot, at = next_slot, toks[0]
             rest = args[1:]
             if rest:
                 if rest[0][1] != "->":
                     raise ParseError(lineno, rest[0][0], "expected '->' or end of line", rest[0][1])
                 if len(rest) < 2:
                     raise ParseError(lineno, rest[0][0] + 2, "expected classical slot after '->'")
-                slot = _int_token(lineno, rest[1][0], rest[1][1], "classical slot")
+                slot, at = _int_token(lineno, *rest[1], "classical slot"), rest[1]
                 if len(rest) > 2:
                     raise ParseError(lineno, rest[2][0], "unexpected token", rest[2][1])
-            if slot is None:
-                slot = next_slot
+            if slot >= MAX_SLOTS:
+                raise ParseError(lineno, at[0], f"classical slot must be below {MAX_SLOTS}", at[1])
             next_slot = max(next_slot, slot + 1)
             ops.append(GateOp(MEASURE, (q,), slot))
             continue

@@ -48,10 +48,6 @@ class Multivector2(DenseMultivector):
         return cls(np.zeros(4))
 
     @classmethod
-    def scalar(cls, value: float) -> "Multivector2":
-        return cls((value, 0.0, 0.0, 0.0))
-
-    @classmethod
     def blade(cls, code: int, coeff: float = 1.0) -> "Multivector2":
         c = np.zeros(4)
         c[code] = coeff

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import backends, bench
-from .circuit import ParseError, parse
+from .circuit import MAX_QUBITS, ParseError, parse
 from .errors import BladesimError
 
 
@@ -91,7 +91,7 @@ def _cmd_bench(args) -> int:
     rows = bench.bench_rows(sizes, reps=args.reps, kernels=kernels, seed=args.seed)
     if len(rows) < len(sizes) * len(kernels):
         print(
-            f"note: tableau-gate sizes above {bench.TABLEAU_GATE_SIZE_CAP} skipped "
+            f"note: tableau-gate sizes above {MAX_QUBITS} skipped "
             "(per-gate cost grows quadratically)",
             file=sys.stderr,
         )

@@ -7,9 +7,8 @@ index of a product term is then the XOR of the operand indices, and the sign
 is a parity of colliding (e2 left, e1 right) bits, exactly as for packed
 strings but summed over all coefficient pairs.
 
-Products cost 16**n coefficient pairs, so everything here is capped: the
-default limit is modest and `set_oracle_cap` may raise it to the hard
-ceiling for bigger cross-checks.
+Products cost 16**n coefficient pairs, so everything here is capped at
+ORACLE_CAP qubits.
 """
 
 from __future__ import annotations
@@ -22,27 +21,12 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError
 from .strings import BladeString
 
-HARD_CAP = 7
-DEFAULT_CAP = 5
-
-_oracle_cap = DEFAULT_CAP
-
-
-def oracle_cap() -> int:
-    return _oracle_cap
-
-
-def set_oracle_cap(n: int) -> None:
-    """Raise or lower the dense-product limit (1..HARD_CAP)."""
-    global _oracle_cap
-    if not 1 <= n <= HARD_CAP:
-        raise ValueError(f"oracle cap must be 1..{HARD_CAP}, got {n}")
-    _oracle_cap = n
+ORACLE_CAP = 5
 
 
 def check_cap(n: int, what: str = "dense oracle") -> None:
-    if n > _oracle_cap:
-        raise CapacityError(f"{what} supports at most {_oracle_cap} qubits, got {n}")
+    if n > ORACLE_CAP:
+        raise CapacityError(f"{what} supports at most {ORACLE_CAP} qubits, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -73,9 +57,7 @@ class DenseMultivector:
 
     @classmethod
     def scalar(cls, n: int, value: float) -> "DenseMultivector":
-        c = np.zeros(4**n)
-        c[0] = value
-        return cls(n, c)
+        return cls.basis_blade(n, 0, value)
 
     @classmethod
     def basis_blade(cls, n: int, index: int, coeff: float = 1.0) -> "DenseMultivector":

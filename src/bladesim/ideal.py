@@ -115,17 +115,17 @@ def theta(g: DenseMultivector) -> IdealState:
     return IdealState(g.n, dense_gp(g, vacuum(g.n)))
 
 
-def to_statevector(s: IdealState, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def to_statevector(s: IdealState) -> np.ndarray:
     """Complex amplitudes of a state, unnormalized.
 
-    Raises NotInIdealError when the element is farther than `tol` from its
-    expansion over the ideal basis (it then does not encode a state).
+    Raises NotInIdealError when the element is farther than MEMBERSHIP_TOL from
+    its expansion over the ideal basis (it then does not encode a state).
     """
     cols, dual = _basis(s.n)
     coef = dual @ s.psi.c
     residual = np.linalg.norm(cols @ coef - s.psi.c, np.inf)
-    if residual > tol:
-        raise NotInIdealError(f"element is {residual:.3e} away from the state space (tol {tol:g})")
+    if residual > MEMBERSHIP_TOL:
+        raise NotInIdealError(f"element is {residual:.3e} away from the state space (tol {MEMBERSHIP_TOL:g})")
     half = 2**s.n
     return coef[:half] + 1j * coef[half:]
 

@@ -117,16 +117,6 @@ class PauliString:
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0, 0)
 
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str, k: int = 0) -> "PauliString":
-        """One non-identity letter at the given qubit."""
-        lu = letter.upper()
-        if lu not in "IXZY" or len(lu) != 1:
-            raise ValueError(f"unknown Pauli letter {letter!r}")
-        x = int(lu in "XY") << qubit
-        z = int(lu in "ZY") << qubit
-        return cls(n, x, z, k)
-
     def letter(self, qubit: int) -> str:
         return _LETTERS[((self.x >> qubit) & 1) | (((self.z >> qubit) & 1) << 1)]
 

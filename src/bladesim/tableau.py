@@ -7,10 +7,10 @@ exponent stays in {0, 2} (sign +1/-1); row products reuse the mod-4 phase
 arithmetic of `pauli_mul`, which keeps that restriction automatically because
 only commuting rows are ever multiplied.
 
-Gate updates conjugate every row in place: a single- or two-qubit gate costs
-a constant number of mask operations per row, each word-parallel in n, so a
-gate is O(n) row updates of O(n/w) words.  CZ and SWAP are composed from
-CNOT and H.  Measurement follows the standard destabilizer bookkeeping: a
+A single-qubit gate is its table of signed images of the letters X, Z, Y; it
+rebuilds only the rows whose letter at its qubit it changes, as does CNOT by
+the CHP rule.  CZ and SWAP are composed from CNOT and H.  A rebuilt row costs
+O(n/w) words.  Measurement follows the standard destabilizer bookkeeping: a
 random outcome replaces the first anticommuting stabilizer (by row index)
 after multiplying it into the other anticommuting rows; a deterministic
 outcome is read off the product of stabilizers selected by the destabilizer
@@ -19,9 +19,29 @@ bits, without touching the tableau.
 
 from __future__ import annotations
 
-from .circuit import GateOp
+from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, GateOp
 from .errors import DimensionMismatchError, TableauInvariantError
-from .strings import PauliString, commutes, pauli_mul
+from .strings import _LETTERS, PauliString, commutes, pauli_mul
+
+# conjugation images of X, Z, Y, i.e. of the letter codes 1, 2, 3
+_IMAGES = {
+    "h": ("Z", "X", "-Y"),
+    "s": ("Y", "Z", "-X"),
+    "sdg": ("-Y", "Z", "X"),
+    "x": ("X", "-Z", "-Y"),
+    "y": ("-X", "-Z", "Y"),
+    "z": ("-X", "Z", "-Y"),
+}
+
+
+def _change(code: int, image: str):
+    """(x bit flip, z bit flip, sign flip) taking a letter to its image; None if it is fixed."""
+    d = code ^ _LETTERS.index(image.lstrip("-"))
+    change = (d & 1, d >> 1, 2 if image[0] == "-" else 0)
+    return change if any(change) else None
+
+
+_RULES = {gate: (None, *map(_change, (1, 2, 3), images)) for gate, images in _IMAGES.items()}
 
 
 class Tableau:
@@ -29,7 +49,7 @@ class Tableau:
 
     __slots__ = ("n", "rows")
 
-    _GATE_METHODS = frozenset(("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap"))
+    _GATE_METHODS = frozenset(ONE_QUBIT_GATES + TWO_QUBIT_GATES)
 
     def __init__(self, n: int):
         if n < 1:
@@ -55,88 +75,54 @@ class Tableau:
 
     def stabilizer_lines(self) -> list[str]:
         """One row per line with explicit sign, e.g. '+XX'."""
-        out = []
-        for r in self.stabilizers:
-            body = "".join(r.letter(j) for j in range(r.n))
-            out.append(("+" if r.k == 0 else "-") + body)
-        return out
+        return [("+" if r.k == 0 else "") + r.to_text() for r in self.stabilizers]
 
     def __str__(self) -> str:
         return "\n".join(self.stabilizer_lines())
 
-    def _check_qubit(self, q: int) -> None:
+    def _mask(self, q: int) -> int:
+        """The mask bit of qubit q, after checking that q is in range."""
         if not 0 <= q < self.n:
             raise ValueError(f"qubit {q} out of range for n={self.n}")
+        return 1 << q
 
-    # gate conjugation rules; phase exponents flip by 2 (sign flip)
+    def _conjugate(self, rule: tuple, q: int) -> "Tableau":
+        m = self._mask(q)
+        for i, r in enumerate(self.rows):
+            change = rule[(1 if r.x & m else 0) | (2 if r.z & m else 0)]
+            if change:
+                dx, dz, flip = change
+                self.rows[i] = PauliString(r.n, r.x ^ dx * m, r.z ^ dz * m, r.k ^ flip)
+        return self
 
     def h(self, q: int) -> "Tableau":
-        # X <-> Z, Y -> -Y
-        self._check_qubit(q)
-        m = 1 << q
-        for i, r in enumerate(self.rows):
-            xb, zb = r.x & m, r.z & m  # each is 0 or the mask bit
-            k = r.k ^ (2 if xb and zb else 0)
-            self.rows[i] = PauliString(r.n, (r.x & ~m) | zb, (r.z & ~m) | xb, k)
-        return self
+        return self._conjugate(_RULES["h"], q)
 
     def s(self, q: int) -> "Tableau":
-        # X -> Y, Y -> -X, Z -> Z
-        self._check_qubit(q)
-        m = 1 << q
-        for i, r in enumerate(self.rows):
-            k = r.k ^ (2 if (r.x & m) and (r.z & m) else 0)
-            self.rows[i] = PauliString(r.n, r.x, r.z ^ (r.x & m), k)
-        return self
+        return self._conjugate(_RULES["s"], q)
 
     def sdg(self, q: int) -> "Tableau":
-        # X -> -Y, Y -> X, Z -> Z
-        self._check_qubit(q)
-        m = 1 << q
-        for i, r in enumerate(self.rows):
-            k = r.k ^ (2 if (r.x & m) and not (r.z & m) else 0)
-            self.rows[i] = PauliString(r.n, r.x, r.z ^ (r.x & m), k)
-        return self
+        return self._conjugate(_RULES["sdg"], q)
 
     def x(self, q: int) -> "Tableau":
-        # Z -> -Z, Y -> -Y
-        self._check_qubit(q)
-        m = 1 << q
-        for i, r in enumerate(self.rows):
-            if r.z & m:
-                self.rows[i] = r.with_phase(r.k + 2)
-        return self
+        return self._conjugate(_RULES["x"], q)
 
     def y(self, q: int) -> "Tableau":
-        # X -> -X, Z -> -Z, Y -> Y
-        self._check_qubit(q)
-        m = 1 << q
-        for i, r in enumerate(self.rows):
-            if bool(r.x & m) != bool(r.z & m):
-                self.rows[i] = r.with_phase(r.k + 2)
-        return self
+        return self._conjugate(_RULES["y"], q)
 
     def z(self, q: int) -> "Tableau":
-        # X -> -X, Y -> -Y
-        self._check_qubit(q)
-        m = 1 << q
-        for i, r in enumerate(self.rows):
-            if r.x & m:
-                self.rows[i] = r.with_phase(r.k + 2)
-        return self
+        return self._conjugate(_RULES["z"], q)
 
     def cnot(self, c: int, t: int) -> "Tableau":
         # X_c -> X_c X_t, Z_t -> Z_c Z_t; sign flips when x_c z_t (x_t == z_c)
-        self._check_qubit(c)
-        self._check_qubit(t)
+        mc, mt = self._mask(c), self._mask(t)
         if c == t:
             raise ValueError("control and target must differ")
-        mc, mt = 1 << c, 1 << t
         for i, r in enumerate(self.rows):
-            xc, zc = bool(r.x & mc), bool(r.z & mc)
-            xt, zt = bool(r.x & mt), bool(r.z & mt)
-            k = r.k ^ (2 if xc and zt and (xt == zc) else 0)
-            self.rows[i] = PauliString(r.n, r.x ^ (mt if xc else 0), r.z ^ (mc if zt else 0), k)
+            xc, zt = r.x & mc, r.z & mt
+            if xc or zt:
+                k = r.k ^ (2 if xc and zt and bool(r.x & mt) == bool(r.z & mc) else 0)
+                self.rows[i] = PauliString(r.n, r.x ^ (mt if xc else 0), r.z ^ (mc if zt else 0), k)
         return self
 
     def cz(self, c: int, t: int) -> "Tableau":
@@ -160,8 +146,7 @@ class Tableau:
         `integers` method, e.g. numpy Generator) and update the tableau;
         deterministic outcomes leave it untouched.
         """
-        self._check_qubit(q)
-        m = 1 << q
+        m = self._mask(q)
         n = self.n
         p = next((i for i in range(n, 2 * n) if self.rows[i].x & m), None)
         if p is not None:

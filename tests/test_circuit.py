@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, serialize
+from bladesim.circuit import MAX_QUBITS, MAX_SLOTS
 from corpus import INVALID_FILES, VALID_FILES
 
 
@@ -10,6 +11,7 @@ def test_parse_basic():
     assert c.n == 2
     assert c.ops == (GateOp("h", (0,)), GateOp("cnot", (0, 1)))
     assert c.creg == 0
+    assert parse(f"qubits {MAX_QUBITS}\n").n == MAX_QUBITS
 
 
 def test_parse_measure_slots():
@@ -21,6 +23,7 @@ def test_parse_measure_slots():
     assert c.creg == 5
     c = parse("qubits 1\nmeasure 0 -> 0\nmeasure 0 -> 0\n")
     assert c.creg == 1
+    assert parse(f"qubits 1\nmeasure 0 -> {MAX_SLOTS - 1}\n").creg == MAX_SLOTS
 
 
 def test_parse_error_positions():
@@ -33,6 +36,15 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse("qubits 2\n  frobnicate 1")
     assert (e.value.line, e.value.column) == (2, 3)
+    with pytest.raises(ParseError) as e:
+        parse("qubits 100000000\nh 0\n")
+    assert (e.value.line, e.value.column, e.value.token) == (1, 8, "100000000")
+    with pytest.raises(ParseError) as e:
+        parse("qubits 1\nh 0\nmeasure 0 -> 1000000000000\n")
+    assert (e.value.line, e.value.column, e.value.token) == (3, 14, "1000000000000")
+    with pytest.raises(ParseError) as e:  # an implicit slot past the limit
+        parse(f"qubits 1\nmeasure 0 -> {MAX_SLOTS - 1}\nmeasure 0\n")
+    assert (e.value.line, e.value.token) == (3, "measure")
     assert issubclass(ParseError, BladesimError)
 
 

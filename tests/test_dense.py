@@ -126,17 +126,13 @@ def test_local_blade_layout():
 
 
 def test_capacity_limits():
-    dense.set_oracle_cap(3)
+    assert dense.ORACLE_CAP == 5
+    assert vacuum(5).n == 5
+    assert dense_gp(DenseMultivector.zero(5), DenseMultivector.zero(5)).n == 5
     with pytest.raises(CapacityError):
-        vacuum(4)
+        vacuum(6)
     with pytest.raises(CapacityError):
-        dense_gp(DenseMultivector.zero(4), DenseMultivector.zero(4))
-    dense.set_oracle_cap(4)
-    assert vacuum(4).n == 4
-    with pytest.raises(ValueError):
-        dense.set_oracle_cap(dense.HARD_CAP + 1)
-    with pytest.raises(ValueError):
-        dense.set_oracle_cap(0)
+        dense_gp(DenseMultivector.zero(6), DenseMultivector.zero(6))
 
 
 def test_dimension_mismatch():

@@ -26,14 +26,17 @@ def test_fresh_tableau():
 
 def test_single_qubit_conjugation_against_oracle():
     kinds = ("h", "s", "sdg", "x", "y", "z")
-    rows = [PauliString(1, x, z, k) for x in (0, 1) for z in (0, 1) for k in (0, 2)]
-    for kind, row in itertools.product(kinds, rows):
-        t = Tableau(1)
-        t.rows = [row, row]  # structure is irrelevant for conjugation rules
-        t.apply_gate(GateOp(kind, (0,)))
-        u = gate_unitary(GateOp(kind, (0,)), 1)
-        expected = u @ pauli_matrix_oracle(row) @ u.conj().T
-        assert np.allclose(pauli_matrix_oracle(t.rows[0]), expected, atol=1e-12), (kind, row)
+    rows = [PauliString(2, x, z, k) for x in range(4) for z in range(4) for k in (0, 2)]
+    for kind in kinds:
+        for q in (0, 1):
+            u = gate_unitary(GateOp(kind, (q,)), 2)
+            for row in rows:
+                t = Tableau(2)
+                t.rows = [row] * 4  # structure is irrelevant for conjugation rules
+                t.apply_gate(GateOp(kind, (q,)))
+                expected = u @ pauli_matrix_oracle(row) @ u.conj().T
+                assert np.allclose(pauli_matrix_oracle(t.rows[0]), expected, atol=1e-12), (kind, q, row)
+                assert t.rows[0].letter(1 - q) == row.letter(1 - q)
 
 
 def test_two_qubit_conjugation_against_oracle():
