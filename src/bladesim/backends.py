@@ -10,6 +10,8 @@ All three run through one shot loop, `_shots`, and differ only in a start
 state, a gate `step` and a `measure`.  Acting with g on a state prepared by h
 is preparing with g h, so the gate prefix before the first measurement is
 evolved once; each shot copies it and draws from its own (seed, shot) stream.
+`validate` walks the circuit once on shot 0's stream with all three in
+lockstep: the tableau draws each outcome and the dense backends follow it.
 """
 
 from __future__ import annotations
@@ -88,10 +90,6 @@ def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure, copy=l
     return records, state
 
 
-def _tableau_measure(t: Tableau, q: int, rng) -> tuple[Tableau, int]:
-    return t, t.measure_z(q, rng)[0]
-
-
 def _operator_pairs(circuit: Circuit) -> dict:
     """Operator pair of every distinct (kind, qubits) gate, each built once."""
     pairs = {}
@@ -143,7 +141,8 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
     n = circuit.n
     t0 = time.perf_counter()
     if backend == "stabilizer":
-        records, t = _shots(circuit, shots, seed, Tableau(n), Tableau.apply_gate, _tableau_measure, Tableau.copy)
+        measure = lambda t, q, rng: (t, t.measure_z(q, rng)[0])  # noqa: E731
+        records, t = _shots(circuit, shots, seed, Tableau(n), Tableau.apply_gate, measure, Tableau.copy)
         final = {"stabilizers": t.stabilizer_lines()}
     elif backend == "statevector":
         step = lambda v, op: sv.apply_gate(v, op, n)  # noqa: E731
@@ -200,80 +199,68 @@ def born_distribution(circuit: Circuit) -> dict:
 def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     """Cross-check the three backends on one circuit.
 
-    Exact checks: tableau invariants after every step, every final stabilizer
-    row fixes the oracle state, and the algebra-resident state tracks the
-    state vector through gates and synchronized measurements.  Statistical
-    check: stabilizer-backend outcome frequencies against the exact Born
-    distribution; the default tolerance is 0.02 at 10^4 shots and widens as
-    four binomial sigmas below that.  The report lists one entry per check.
+    Exact checks, on one lockstep walk: after every op the tableau invariants
+    hold and the algebra-resident state equals the state vector; before each
+    measurement and after the last op every stabilizer row fixes the state
+    vector; each outcome the tableau draws has Born probability 1 if it is
+    called deterministic, else 1/2.  A failing detail names the first op that
+    failed.  Statistical check: stabilizer outcome frequencies against the
+    exact Born distribution, within 0.02 at 10^4 shots, widening as four
+    binomial sigmas below that.  One report entry per check.
     """
     check_cap(circuit.n, "validation")
     stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / max(shots, 1)))
     n = circuit.n
-    checks = []
-
-    # tableau group structure after every gate and measurement of shot 0
-    def checked(adapter):
-        def wrapped(t, *args):
-            out = adapter(t, *args)
-            t.check_invariants()
-            return out
-
-        return wrapped
-
-    try:
-        t = Tableau(n)
-        t.check_invariants()
-        _shots(circuit, 1, seed, t, checked(Tableau.apply_gate), checked(_tableau_measure))
-        checks.append({"name": "tableau_invariants", "passed": True, "detail": "ok"})
-    except TableauInvariantError as err:
-        checks.append({"name": "tableau_invariants", "passed": False, "detail": str(err)})
-
-    # final stabilizer rows fix the oracle state (unitary part of the circuit)
-    t = Tableau(n)
-    psi = sv.zero_state(n)
-    for op in circuit.ops:
-        if op.is_measure:
-            continue
-        t.apply_gate(op)
-        psi = sv.apply_gate(psi, op, n)
-    dev = 0.0
-    for row in t.stabilizers:
-        dev = max(dev, float(np.max(np.abs(sv.pauli_matrix(row) @ psi - psi))))
-    checks.append(
-        {
-            "name": "stabilizer_rows_fix_oracle_state",
-            "passed": dev <= EXACT_TOL,
-            "detail": f"max |rho(s) psi - psi| = {dev:.3e}",
-        }
-    )
-
-    # algebra-resident evolution against the state vector, shared outcomes
+    ops = circuit.ops
     pairs = _operator_pairs(circuit)
-    state_sv = sv.zero_state(n)
-    state_dc = IdealState.zero_state(n)
-    rng = _shot_rng(seed, 1)
-    dev = 0.0
-    for op in circuit.ops:
-        if op.is_measure:
-            q = op.qubits[0]
-            p1_sv = sv.born_p1(state_sv, q, n)
-            p1_dc, total = _ideal_p1(state_dc, q)
-            dev = max(dev, abs(p1_sv - p1_dc))
-            outcome = 1 if rng.random() < p1_sv else 0
-            state_sv = sv.collapse(state_sv, q, n, outcome)
-            state_dc = _ideal_collapse(state_dc, q, outcome, p1_dc, total)
-        else:
-            state_sv = sv.apply_gate(state_sv, op, n)
-            state_dc = apply(pairs[(op.kind, op.qubits)], state_dc)
-    dev = max(dev, float(np.max(np.abs(to_statevector(state_dc) - state_sv))))
-    checks.append(
-        {
-            "name": "dense_clifford_matches_statevector",
-            "passed": dev <= EXACT_TOL,
-            "detail": f"max deviation = {dev:.3e}",
-        }
-    )
+    t, psi, state = Tableau(n), sv.zero_state(n), IdealState.zero_state(n)
+    rng = _shot_rng(seed, 0)
+    first: dict[str, str] = {}  # check name -> its first failure, naming the op
+    rows_dev = dense_dev = 0.0
+
+    def deviation(name: str, where: str, dev: float) -> float:
+        if dev > EXACT_TOL:
+            first.setdefault(name, f"{where}: deviation {dev:.3e}")
+        return dev
+
+    def rows_fix(where: str) -> float:
+        dev = max(float(np.max(np.abs(sv.pauli_matrix(row) @ psi - psi))) for row in t.stabilizers)
+        return deviation("stabilizer_rows_fix_oracle_state", where, dev)
+
+    for i, op in enumerate(ops):
+        where = f"op {i} ({op.kind} {' '.join(map(str, op.qubits))})"
+        try:
+            if op.is_measure:
+                q = op.qubits[0]
+                rows_dev = max(rows_dev, rows_fix(where))
+                outcome, deterministic = t.measure_z(q, rng)
+                p1 = sv.born_p1(psi, q, n)
+                p = p1 if outcome else 1.0 - p1
+                deviation("stabilizer_rows_fix_oracle_state", where, abs(p - (1.0 if deterministic else 0.5)))
+                if p <= BRANCH_EPS:
+                    break  # no branch to collapse onto
+                psi = sv.collapse(psi, q, n, outcome)
+                state = _ideal_collapse(state, q, outcome, *_ideal_p1(state, q))
+            else:
+                t.apply_gate(op)
+                psi = sv.apply_gate(psi, op, n)
+                state = apply(pairs[(op.kind, op.qubits)], state)
+            t.check_invariants()
+        except TableauInvariantError as err:
+            first.setdefault("tableau_invariants", f"{where}: {err}")
+            break
+        dev = float(np.max(np.abs(to_statevector(state) - psi)))
+        dense_dev = max(dense_dev, deviation("dense_clifford_matches_statevector", where, dev))
+    else:
+        if ops:
+            rows_dev = max(rows_dev, rows_fix(where))
+
+    passing = {
+        "tableau_invariants": "ok",
+        "stabilizer_rows_fix_oracle_state": f"max |rho(s) psi - psi| = {rows_dev:.3e}",
+        "dense_clifford_matches_statevector": f"max deviation = {dense_dev:.3e}",
+    }
+    checks = [{"name": k, "passed": k not in first, "detail": first.get(k, v)} for k, v in passing.items()]
 
     # empirical stabilizer statistics against the exact distribution (or an
     # empirical state-vector reference when there are too many measurements

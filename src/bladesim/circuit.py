@@ -38,7 +38,7 @@ MAX_SLOTS = 1 << 16
 _ARITY = {**{g: 1 for g in ONE_QUBIT_GATES}, **{g: 2 for g in TWO_QUBIT_GATES}, MEASURE: 1}
 
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"\d+\Z")
+_INT = re.compile(r"[0-9]+\Z")  # ASCII only: \d and int() also take other scripts' digits
 
 
 class ParseError(BladesimError):

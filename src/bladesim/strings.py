@@ -25,6 +25,7 @@ from .errors import DimensionMismatchError
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit + 2*z_bit
+_DIGIT_LETTERS = {(str(c & 1), str(c >> 1)): letter for c, letter in enumerate(_LETTERS)}  # by (x, z) digit
 
 
 def _check_mask(n: int, mask: int, name: str) -> None:
@@ -134,7 +135,8 @@ class PauliString:
 
     def to_text(self) -> str:
         """Phase prefix ('', 'i', '-', '-i') then letters, qubit 0 first."""
-        return _PHASE_PREFIX[self.k] + "".join(self.letter(j) for j in range(self.n))
+        xs, zs = (format(mask, f"0{self.n}b")[::-1] for mask in (self.x, self.z))
+        return _PHASE_PREFIX[self.k] + "".join(map(_DIGIT_LETTERS.__getitem__, zip(xs, zs)))
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":

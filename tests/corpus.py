@@ -48,4 +48,6 @@ INVALID_FILES = [
     ("qubits 2\nh 0\ncnot 0 1\nswap 1 1\n", 4),   # later line, equal indices
     ("qubits 2\nh 0\nmeasure 2\n", 3),            # measure target out of range
     ("qubits\n", 1),                              # header without count
+    ("qubits \uff13\n", 1),                       # fullwidth digit count
+    ("qubits 2\nh \u0661\n", 2),                  # Arabic-Indic digit index
 ]

@@ -11,9 +11,12 @@ from bladesim import (
     validate,
 )
 from bladesim.backends import BACKENDS
+from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from oracles import circuit_unitary
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
+ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
+EXACT_CHECKS = ("tableau_invariants", "stabilizer_rows_fix_oracle_state", "dense_clifford_matches_statevector")
 
 
 def test_bell_counts_on_every_backend():
@@ -140,15 +143,16 @@ def test_validate_passes_on_bell():
 
 
 def test_validate_passes_on_random_circuits():
+    # every gate kind through mid-circuit measurements, on all three backends
     rng = np.random.default_rng(77)
     for seed in range(20):
         n = int(rng.integers(1, 6))
         depth = int(rng.integers(5, 51))
-        circuit = random_clifford_circuit(
-            n, depth, seed=seed, gate_kinds=("h", "s", "cnot", "x", "z"), measure_prob=0.08
-        )
-        report = validate(circuit, shots=1500, seed=seed)
+        circuit = random_clifford_circuit(n, depth, seed=seed, gate_kinds=ALL_KINDS, measure_prob=0.25)
+        report = validate(circuit, shots=1000, seed=seed)
         assert report["passed"], (seed, report)
+        passed = {c["name"] for c in report["checks"] if c["passed"]}
+        assert set(EXACT_CHECKS) <= passed, (seed, report)
 
 
 def test_validate_many_measurements_uses_sampled_reference():
@@ -181,8 +185,8 @@ def test_validate_catches_corrupted_gate_rule(monkeypatch):
     circuit = parse("qubits 1\nh 0\ns 0\ns 0\nh 0\nmeasure 0\n")
     report = validate(circuit, shots=500, seed=0)
     assert not report["passed"]
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert "stabilizer_rows_fix_oracle_state" in failed
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 4 (measure 0)"), failed
 
 
 def test_validate_catches_corrupted_measurement(monkeypatch):
@@ -202,3 +206,19 @@ def test_validate_catches_corrupted_measurement(monkeypatch):
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "measurement_statistics" in failed
+
+
+def test_validate_walk_catches_flipped_deterministic_outcome(monkeypatch):
+    # Bell's second outcome is certain; reporting its opposite gives a record
+    # of Born probability 0, which the lockstep walk pins to that measurement
+    original = bladesim.tableau.Tableau.measure_z
+
+    def flipped(self, q, rng):
+        outcome, deterministic = original(self, q, rng)
+        return (1 - outcome if deterministic else outcome), deterministic
+
+    monkeypatch.setattr(bladesim.tableau.Tableau, "measure_z", flipped)
+    report = validate(BELL, shots=500, seed=0)
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert "measurement_statistics" in failed
+    assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 3 (measure 1)"), failed

@@ -45,6 +45,10 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:  # an implicit slot past the limit
         parse(f"qubits 1\nmeasure 0 -> {MAX_SLOTS - 1}\nmeasure 0\n")
     assert (e.value.line, e.value.token) == (3, "measure")
+    for source, where in (("qubits \uff13\n", (1, 8, "\uff13")), ("qubits 2\nh \u0661\n", (2, 3, "\u0661"))):
+        with pytest.raises(ParseError) as e:  # digits outside ASCII are not integers
+            parse(source)
+        assert (e.value.line, e.value.column, e.value.token) == where
     assert issubclass(ParseError, BladesimError)
 
 

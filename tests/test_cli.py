@@ -110,6 +110,7 @@ def test_missing_file_exit_code(tmp_path, capsys):
         ["run", "{dir}/wide13.qc", "--backend", "statevector"],
         ["run", "{dir}/huge_n.qc"],
         ["run", "{dir}/huge_slot.qc"],
+        ["run", "{dir}/fullwidth.qc"],
         ["run", "{dir}/bell.qc", "--seed", "-1"],
         ["bench", "--sizes", "abc"],
         ["bench", "--sizes", "8..4"],
@@ -128,6 +129,7 @@ def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
         (folder / f"wide{n}.qc").write_text(f"qubits {n}\nh 0\nmeasure 0\n")
     (folder / "huge_n.qc").write_text("qubits 100000000\nh 0\nmeasure 0\n")
     (folder / "huge_slot.qc").write_text("qubits 1\nh 0\nmeasure 0 -> 1000000000000\n")
+    (folder / "fullwidth.qc").write_text("qubits \uff13\nh 0\n", encoding="utf-8")
     try:
         code = main([arg.replace("{dir}", str(folder)) for arg in argv])
     except SystemExit as stop:  # argparse rejects --shots 0 and --reps 0 itself

@@ -123,10 +123,10 @@ GOLDEN = {
             "e8e83b808de4cdd6892f8eda59cfabe7a59f121f8f4a7053244d28e3dea8ad95",
         ],
         "validate": [
-            "dbf2e661edc58e495f499f6b63b4db12171c2094576a7ec0869305b9ffeb9fff",
-            "addc82802461cdfc98ac3e0c69b862b80d452fe22fc0d5397401f78c95697d1d",
-            "7a247d44e5d33063150541f5c4f0289c6e4a5c7c36b10b77258e33fd9ca86237",
-            "8043385690d76e7f0d5167d17fa194eee2514ac2f5fcdece524bea78c6c82b1e",
+            "6d5a0e9d45bde4bbdd98469c2c47168de0bd8b6cc24d6c02acda3dbf69db7dde",
+            "a309bd035cd7772cbe2810f7b152821d3ea7f83564ce59cf8ac82a173613832f",
+            "fe1243fd5a0a58c679fd638f85b0e8c2e5944532e5857190fca86658c26ce9a9",
+            "9917b3efb89f1e5b876aa9f5c30a214216510f719441833ef6f6351e233a005a",
         ],
     },
     "random0": {
@@ -175,10 +175,10 @@ GOLDEN = {
             "436d3ae4f36d1f3d457b678fab33473f8e8989d0d432cb784f625a48624a02d4",
         ],
         "validate": [
-            "35a53417f1d9ee2874bd3ff3a961aafc6d9019556bb05afdd9d61c012445f62e",
-            "3068b0776df78d85fb1d84d89f06c320ad02fd834f268111f3160b320f456766",
-            "ae9400f784808872ad007a7a214914c44719ab15cf8aeeeeac390f571b138666",
-            "5fa88e5e4edc2cfb0581df1c7a75b85e01bb8314fe3a6724b3037559ca612d68",
+            "2ba663718d7da0a47bad2cdbd128153ad12b91832b305451e461e53917bd5216",
+            "fc53e45d2f0be2d8a60966c75a329099f2e2856e8a6f82602660e937e8c40786",
+            "b80da59d6623898cde1424196bcb5f6511593d0fbdb0f8f4563001d4f4f9834b",
+            "8861910816a1543099ff27389efe2582a634a5b45f5d196b786f7c0e2468fcfe",
         ],
     },
     "random2": {
@@ -227,10 +227,10 @@ GOLDEN = {
             "be2292a180b08ed239c419b759c101d95393d372e695fe66dc1dce99378a8ad9",
         ],
         "validate": [
-            "848ec5b55e34fa2a990f0608befde41c5de2e3a188d3ef355886fb0563c4252d",
-            "3518fe19c95b8492c2337771e6e5251bf5a780d3e5017c79f7867d07a3974a3b",
-            "1dab8db1ee2cb4f274ca875cb91cf648d61797e232a165fa2a1a1b2d5f36026e",
-            "7d0f229dbd9c9d76d027fca43e3d130ad61d44f913748dfaf9d03ade0dbbde1c",
+            "fcf82b0f848ebc3595a12c889fd84795cb81d47bbfb1920467ac1908dcb58340",
+            "b72e21175b8ee1fd4a831758ac6d363f22ae9a8fbf4b3985b103692ce298a4d4",
+            "d7fbd1f5a11c043ed280dea28121e8afd2580a798c4ed1f06f6f2478517d24e3",
+            "6e08b9667a4406302eccc88ddc0ab02fcab1013c2521578de28acf512ce4c52f",
         ],
     },
 }

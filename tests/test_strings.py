@@ -191,6 +191,7 @@ def test_text_round_trip_bit_exact(n, data):
     )
     q = PauliString.from_text(p.to_text())
     assert (q.n, q.x, q.z, q.k) == (p.n, p.x, p.z, p.k)
+    assert p.to_text().endswith("".join(p.letter(j) for j in range(n)))  # against the one-letter reader
 
 
 def test_string_mul_time_scales_gently():
