@@ -6,11 +6,14 @@ Backends:
                       operator pairs; capped by the dense-oracle limit.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
-All three run through one shot loop, `_shots`, and differ only in a start
-state, a gate `step` and a `measure`.  Acting with g on a state prepared by h
-is preparing with g h, so the gate prefix before the first measurement is
-evolved once; each shot copies it and draws from its own (seed, shot) stream.
-`validate` walks the circuit once on shot 0's stream with all three in
+Every shot draws from its own (seed, shot) stream.  The two dense backends
+run through one shot loop, `_shots`, and differ only in a start state, a gate
+`step` and a `measure`.  Acting with g on a state prepared by h is preparing
+with g h, so the gate prefix before the first measurement is evolved once and
+each shot starts from it.  The stabilizer backend walks the circuit once for
+all shots (`_stabilizer_shots`): every random outcome stays a variable, each
+recorded outcome is a parity of the shot's draws, and a shot only draws its
+bits.  `validate` walks the circuit once on shot 0's stream with all three in
 lockstep: the tableau draws each outcome and the dense backends follow it.
 """
 
@@ -35,6 +38,7 @@ EXACT_TOL = 1e-8
 STAT_TOL = 0.02
 BORN_ENUMERATION_LIMIT = 16
 BRANCH_EPS = 1e-12  # Born branches at or below this probability are dropped
+SCALAR_DRAWS = 4  # a shot with at most this many random outcomes draws them one by one
 
 
 def _shot_rng(seed: int, shot: int):
@@ -63,13 +67,13 @@ def _counts(circuit: Circuit, records: list[list[int]]) -> dict[str, int]:
     return counts
 
 
-def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure, copy=lambda s: s):
-    """The one shot loop shared by every backend; returns (records, last state).
+def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure):
+    """The shot loop of the dense backends; returns (records, last state).
 
-    `step(state, op)` applies a gate and `measure(state, q, rng)` returns
-    (state, outcome); both may update in place or return a new state.  The
-    prefix before the first measurement is evolved once, then each shot
-    starts from `copy` of it with its own (seed, shot) stream.
+    `step(state, op)` and `measure(state, q, rng)` return a new state (and,
+    for `measure`, the outcome) without changing their argument.  The prefix
+    before the first measurement is evolved once, then each shot starts from
+    it with its own (seed, shot) stream.
     """
     ops = circuit.ops
     cut = next((i for i, op in enumerate(ops) if op.is_measure), len(ops))
@@ -77,7 +81,7 @@ def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure, copy=l
         state = step(state, op)
     base, records = state, []
     for shot in range(shots):
-        state = copy(base)
+        state = base
         rng = _shot_rng(seed, shot)
         rec = []
         for op in ops[cut:]:
@@ -88,6 +92,47 @@ def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure, copy=l
                 state = step(state, op)
         records.append(rec)
     return records, state
+
+
+def _shot_bits(seed: int, shot: int, draws: int) -> int:
+    """The shot's first `draws` integers(0, 2) draws, draw r at bit r.
+
+    Past a few draws one batched call is cheaper than scalar calls, and it
+    gives the same bits: each draw takes one 32-bit word from the stream.
+    """
+    if not draws:
+        return 0
+    rng = _shot_rng(seed, shot)
+    if draws <= SCALAR_DRAWS:
+        return sum(int(rng.integers(0, 2)) << r for r in range(draws))
+    bits = rng.integers(0, 2, size=draws).astype(np.uint8)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[list[int]], list[str]]:
+    """Records and final stabilizer lines of every shot from one tableau pass.
+
+    Whether a measurement is random depends only on the tableau's x/z bits,
+    so every shot draws at the same measurements.  The pass leaves random
+    outcome r as variable r and records each outcome as a (constant, mask)
+    pair; a shot's outcome is the constant XOR the parity of its drawn bits
+    under the mask.  The last shot's bits give the final signs.
+    """
+    t = Tableau(circuit.n)
+    outcomes = []
+    draws = 0  # random outcomes so far, the index of the next variable
+    for op in circuit.ops:
+        if op.is_measure:
+            const, mask, deterministic = t.measure(op.qubits[0], lambda: (0, 1 << draws))
+            outcomes.append((const, mask))
+            draws += not deterministic
+        else:
+            t.apply_gate(op)
+    records = []
+    for shot in range(shots):
+        bits = _shot_bits(seed, shot, draws)
+        records.append([const ^ ((mask & bits).bit_count() & 1) for const, mask in outcomes])
+    return records, t.assign(bits).stabilizer_lines()
 
 
 def _operator_pairs(circuit: Circuit) -> dict:
@@ -141,9 +186,8 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
     n = circuit.n
     t0 = time.perf_counter()
     if backend == "stabilizer":
-        measure = lambda t, q, rng: (t, t.measure_z(q, rng)[0])  # noqa: E731
-        records, t = _shots(circuit, shots, seed, Tableau(n), Tableau.apply_gate, measure, Tableau.copy)
-        final = {"stabilizers": t.stabilizer_lines()}
+        records, lines = _stabilizer_shots(circuit, shots, seed)
+        final = {"stabilizers": lines}
     elif backend == "statevector":
         step = lambda v, op: sv.apply_gate(v, op, n)  # noqa: E731
         measure = lambda v, q, rng: sv.measure(v, q, n, rng)  # noqa: E731

@@ -184,7 +184,19 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
         + 2 * (a.x & b.z).bit_count()
         + (x & z).bit_count()
     ) % 4
-    return PauliString(a.n, x, z, k)
+    return _pauli(a.n, x, z, k)
+
+
+def _pauli(n: int, x: int, z: int, k: int) -> PauliString:
+    """A PauliString built without `__post_init__`'s range checks.
+
+    Only for fields the caller knows are in range, such as XORs of in-range
+    masks; the tableau rebuilds rows and `pauli_mul` returns products this way.
+    """
+    p = object.__new__(PauliString)
+    d = p.__dict__
+    d["n"], d["x"], d["z"], d["k"] = n, x, z, k
+    return p
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:

@@ -1,7 +1,12 @@
-"""Hand-written circuit files for the parser: valid ones and broken ones.
+"""Hand-written circuit files for the parser, and random circuits for hypothesis.
 
 INVALID_FILES entries are (source, expected error line).
 """
+
+from hypothesis import strategies as st
+
+from bladesim import random_clifford_circuit
+from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 
 VALID_FILES = [
     "qubits 1\n",
@@ -51,3 +56,15 @@ INVALID_FILES = [
     ("qubits \uff13\n", 1),                       # fullwidth digit count
     ("qubits 2\nh \u0661\n", 2),                  # Arabic-Indic digit index
 ]
+
+
+@st.composite
+def circuits(draw, max_n: int = 6):
+    """Random circuits over all nine gate kinds, with mid-circuit measurements."""
+    n = draw(st.integers(1, max_n))
+    depth = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 10_000))
+    prob = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    return random_clifford_circuit(
+        n, depth, seed=seed, gate_kinds=ONE_QUBIT_GATES + TWO_QUBIT_GATES, measure_prob=prob
+    )

@@ -1,7 +1,9 @@
-"""Independent matrix oracles used by the tests.
+"""Independent matrix oracles and slow reference paths used by the tests.
 
-Everything here is built directly from numpy kron/index arithmetic so the
-checks do not share code with the kernels they verify.
+The matrix oracles are built directly from numpy kron/index arithmetic so the
+checks do not share code with the kernels they verify.  `per_shot_stabilizer`
+is the stabilizer backend's concrete shot loop, the slow path that the
+one-pass symbolic `run` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -126,3 +128,24 @@ def random_pauli_string(n: int, rng):
     x = int(rng.integers(0, 2**n))
     z = int(rng.integers(0, 2**n))
     return PauliString(n, x, z, int(rng.integers(0, 4)))
+
+
+def per_shot_stabilizer(circuit, shots: int, seed: int):
+    """(records, final stabilizer lines) from a fresh tableau per shot.
+
+    Every shot walks the whole circuit with `measure_z` on its own
+    (seed, shot) stream, drawing one integers(0, 2) at each random outcome.
+    """
+    from bladesim import Tableau
+    from bladesim.backends import _shot_rng
+
+    records = []
+    for shot in range(shots):
+        t, rng, rec = Tableau(circuit.n), _shot_rng(seed, shot), []
+        for op in circuit.ops:
+            if op.is_measure:
+                rec.append(t.measure_z(op.qubits[0], rng)[0])
+            else:
+                t.apply_gate(op)
+        records.append(rec)
+    return records, t.stabilizer_lines()

@@ -190,18 +190,14 @@ def test_validate_catches_corrupted_gate_rule(monkeypatch):
 
 
 def test_validate_catches_corrupted_measurement(monkeypatch):
-    # force every random outcome to 0: Bell statistics collapse to one record
-    original = bladesim.tableau.Tableau.measure_z
+    # force every random outcome to 0 in the one CHP measurement that both
+    # run and validate's walk call: Bell statistics collapse to one record
+    original = bladesim.tableau.Tableau.measure
 
-    def rigged(self, q, rng):
-        class ZeroRng:
-            @staticmethod
-            def integers(lo, hi):
-                return 0
+    def rigged(self, q, draw):
+        return original(self, q, lambda: (0, 0))
 
-        return original(self, q, ZeroRng())
-
-    monkeypatch.setattr(bladesim.tableau.Tableau, "measure_z", rigged)
+    monkeypatch.setattr(bladesim.tableau.Tableau, "measure", rigged)
     report = validate(BELL, shots=2000, seed=0)
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
@@ -210,14 +206,15 @@ def test_validate_catches_corrupted_measurement(monkeypatch):
 
 def test_validate_walk_catches_flipped_deterministic_outcome(monkeypatch):
     # Bell's second outcome is certain; reporting its opposite gives a record
-    # of Born probability 0, which the lockstep walk pins to that measurement
-    original = bladesim.tableau.Tableau.measure_z
+    # of Born probability 0, which the lockstep walk pins to that measurement;
+    # the constant is flipped in the one CHP measurement run and walk share
+    original = bladesim.tableau.Tableau.measure
 
-    def flipped(self, q, rng):
-        outcome, deterministic = original(self, q, rng)
-        return (1 - outcome if deterministic else outcome), deterministic
+    def flipped(self, q, draw):
+        const, mask, deterministic = original(self, q, draw)
+        return (1 - const if deterministic else const), mask, deterministic
 
-    monkeypatch.setattr(bladesim.tableau.Tableau, "measure_z", flipped)
+    monkeypatch.setattr(bladesim.tableau.Tableau, "measure", flipped)
     report = validate(BELL, shots=500, seed=0)
     failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert "measurement_statistics" in failed

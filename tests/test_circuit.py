@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, serialize
 from bladesim.circuit import MAX_QUBITS, MAX_SLOTS
-from corpus import INVALID_FILES, VALID_FILES
+from corpus import INVALID_FILES, VALID_FILES, circuits
 
 
 def test_parse_basic():
@@ -81,18 +81,6 @@ def test_crlf_accepted_lf_emitted():
     c = parse("qubits 2\r\nh 0\r\n")
     assert "\r" not in serialize(c)
     assert c.ops == (GateOp("h", (0,)),)
-
-
-@st.composite
-def circuits(draw):
-    n = draw(st.integers(1, 6))
-    depth = draw(st.integers(0, 12))
-    seed = draw(st.integers(0, 10_000))
-    prob = draw(st.sampled_from([0.0, 0.2, 0.5]))
-    return random_clifford_circuit(
-        n, depth, seed=seed, gate_kinds=("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap"),
-        measure_prob=prob,
-    )
 
 
 @given(circuits())

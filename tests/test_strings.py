@@ -208,6 +208,12 @@ def test_mask_validation():
     with pytest.raises(ValueError):
         PauliString(1, 2, 0, 0)
     with pytest.raises(ValueError):
+        PauliString(3, 0, 8, 0)
+    with pytest.raises(ValueError):
+        PauliString(3, -1, 0, 0)
+    with pytest.raises(ValueError):
+        PauliString(0, 0, 0, 0)
+    with pytest.raises(ValueError):
         PauliString(1, 0, 0, 4)
     with pytest.raises(ValueError):
         BladeString(2, 1, 1, 0)

@@ -108,6 +108,31 @@ def test_measurement_updates_keep_invariants():
         t.check_invariants()
 
 
+def test_rows_equal_checked_pauli_strings():
+    # gates, row products and measurements build rows without the
+    # constructor's range checks; each must equal, and hash like, the
+    # checked value with the same fields
+    kinds = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
+    for seed in range(20):
+        circuit = random_clifford_circuit(5, 60, seed=seed, gate_kinds=kinds, measure_prob=0.2)
+        concrete, symbolic = Tableau(5), Tableau(5)
+        rng = np.random.default_rng(seed)
+        draws = 0
+        for op in circuit.ops:
+            if op.is_measure:
+                concrete.measure_z(op.qubits[0], rng)
+                draws += not symbolic.measure(op.qubits[0], lambda: (0, 1 << draws))[2]
+            else:
+                concrete.apply_gate(op)
+                symbolic.apply_gate(op)
+        for t in (concrete, symbolic.assign(seed * 0x9E3779B9)):
+            assert t.vars == [0] * 10
+            for r in t.rows:
+                checked = PauliString(r.n, r.x, r.z, r.k)
+                assert type(r) is PauliString and r == checked and hash(r) == hash(checked)
+            t.check_invariants()
+
+
 def test_determinism_per_seed():
     circuit = random_clifford_circuit(3, 40, seed=5, measure_prob=0.3)
 
