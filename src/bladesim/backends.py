@@ -57,12 +57,16 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 def _counts(circuit: Circuit, records: list[list[int]]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    measures = [op for op in circuit.ops if op.is_measure]
+    slots = [op.slot for op in circuit.ops if op.is_measure]
+    keys: dict[tuple, str] = {}  # register string of each distinct record
     for rec in records:
-        reg = ["0"] * circuit.creg
-        for op, outcome in zip(measures, rec):
-            reg[op.slot] = str(outcome)
-        key = "".join(reg)
+        outcomes = tuple(rec)
+        key = keys.get(outcomes)
+        if key is None:
+            reg = ["0"] * circuit.creg
+            for slot, outcome in zip(slots, outcomes):
+                reg[slot] = str(outcome)
+            key = keys[outcomes] = "".join(reg)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -116,7 +120,8 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
     so every shot draws at the same measurements.  The pass leaves random
     outcome r as variable r and records each outcome as a (constant, mask)
     pair; a shot's outcome is the constant XOR the parity of its drawn bits
-    under the mask.  The last shot's bits give the final signs.
+    under the mask.  Shots that draw the same bits get equal records, each
+    its own list.  The last shot's bits give the final signs.
     """
     t = Tableau(circuit.n)
     outcomes = []
@@ -128,10 +133,19 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
             draws += not deterministic
         else:
             t.apply_gate(op)
-    records = []
+    consts = [const for const, _ in outcomes]
+    live = [(i, mask) for i, (_, mask) in enumerate(outcomes) if mask]
+    records, seen = [], {}  # seen: the record of each distinct draw so far
     for shot in range(shots):
         bits = _shot_bits(seed, shot, draws)
-        records.append([const ^ ((mask & bits).bit_count() & 1) for const, mask in outcomes])
+        rec = seen.get(bits)
+        if rec is None:
+            rec = seen[bits] = list(consts)
+            for i, mask in live:
+                rec[i] ^= (mask & bits).bit_count() & 1
+            records.append(rec)
+        else:
+            records.append(list(rec))
     return records, t.assign(bits).stabilizer_lines()
 
 

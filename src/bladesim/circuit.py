@@ -28,9 +28,9 @@ ONE_QUBIT_GATES = ("h", "s", "sdg", "x", "y", "z")
 TWO_QUBIT_GATES = ("cnot", "cz", "swap")
 MEASURE = "measure"
 
-# a tableau holds 2n rows of 2n bits (128 MB once the rows fill in at 2^14
-# qubits) and a gate rebuilds up to 2n of them, so the parser and the
-# tableau-gate bench stop at 2^14 qubits; 2^16 slots allow four measurements
+# a tableau holds 2n x 2n bits, stored as 2n columns of 2n bits (128 MB once
+# they fill in at 2^14 qubits), so memory, not gate time, stops the parser and
+# the tableau-gate bench at 2^14 qubits; 2^16 slots allow four measurements
 # per qubit there
 MAX_QUBITS = 1 << 14
 MAX_SLOTS = 1 << 16

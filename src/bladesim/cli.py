@@ -92,7 +92,7 @@ def _cmd_bench(args) -> int:
     if len(rows) < len(sizes) * len(kernels):
         print(
             f"note: tableau-gate sizes above {MAX_QUBITS} skipped "
-            "(per-gate cost grows quadratically)",
+            "(a tableau holds 4n^2 bits)",
             file=sys.stderr,
         )
     _write_text(args.csv, bench.format_csv(rows))

@@ -191,7 +191,7 @@ def _pauli(n: int, x: int, z: int, k: int) -> PauliString:
     """A PauliString built without `__post_init__`'s range checks.
 
     Only for fields the caller knows are in range, such as XORs of in-range
-    masks; the tableau rebuilds rows and `pauli_mul` returns products this way.
+    masks; the tableau's row views and `pauli_mul`'s products are built this way.
     """
     p = object.__new__(PauliString)
     d = p.__dict__

@@ -3,10 +3,15 @@
 The matrix oracles are built directly from numpy kron/index arithmetic so the
 checks do not share code with the kernels they verify.  `per_shot_stabilizer`
 is the stabilizer backend's concrete shot loop, the slow path that the
-one-pass symbolic `run` must reproduce bit for bit.
+one-pass symbolic `run` must reproduce bit for bit.  `RowTableau` is the
+row-major stabilizer engine, the slow path that the column `Tableau` must
+match step by step, and `set_rows` writes rows into a column tableau.
 """
 
 import numpy as np
+
+from bladesim.strings import _LETTERS, PauliString, pauli_mul
+from bladesim.tableau import _IMAGES
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -149,3 +154,102 @@ def per_shot_stabilizer(circuit, shots: int, seed: int):
                 t.apply_gate(op)
         records.append(rec)
     return records, t.stabilizer_lines()
+
+
+def set_rows(t, rows) -> None:
+    """Write PauliString rows into a column tableau: row i becomes bit i of every column.
+
+    The rows must carry signs only (phase exponent 0 or 2).  Rows past 2n land
+    past the tableau's last row, which is how a test plants stray bits.
+    """
+    if any(row.k % 2 for row in rows):
+        raise ValueError("a column tableau holds one sign bit per row")
+    t.xs = [sum(((row.x >> q) & 1) << i for i, row in enumerate(rows)) for q in range(t.n)]
+    t.zs = [sum(((row.z >> q) & 1) << i for i, row in enumerate(rows)) for q in range(t.n)]
+    t.r = sum((row.k >> 1) << i for i, row in enumerate(rows))
+
+
+def _letter_change(code: int, image: str):
+    """(x flip, z flip, sign flip) taking a letter to its image; None if it is fixed."""
+    d = code ^ _LETTERS.index(image.lstrip("-"))
+    change = (d & 1, d >> 1, 2 if image[0] == "-" else 0)
+    return change if any(change) else None
+
+
+# per gate, the change of each letter code 0..3
+_ROW_RULES = {gate: (None, *map(_letter_change, (1, 2, 3), images)) for gate, images in _IMAGES.items()}
+
+
+class RowTableau:
+    """The row-major stabilizer engine: 2n PauliString rows and their variable masks.
+
+    Rows 0..n-1 are destabilizers.  A single-qubit gate rebuilds each row
+    whose letter it changes, CNOT follows the CHP rule row by row, CZ and SWAP
+    are composed from H and CNOT, and measurement multiplies whole rows with
+    `pauli_mul`.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = [PauliString(n, 1 << j, 0, 0) for j in range(n)] + [PauliString(n, 0, 1 << j, 0) for j in range(n)]
+        self.vars = [0] * (2 * n)
+
+    def _conjugate(self, kind: str, q: int) -> "RowTableau":
+        rule, m = _ROW_RULES[kind], 1 << q
+        for i, r in enumerate(self.rows):
+            change = rule[(1 if r.x & m else 0) | (2 if r.z & m else 0)]
+            if change:
+                dx, dz, flip = change
+                self.rows[i] = PauliString(r.n, r.x ^ dx * m, r.z ^ dz * m, r.k ^ flip)
+        return self
+
+    def cnot(self, c: int, t: int) -> "RowTableau":
+        mc, mt = 1 << c, 1 << t
+        for i, r in enumerate(self.rows):
+            xc, zt = r.x & mc, r.z & mt
+            if xc or zt:
+                k = r.k ^ (2 if xc and zt and bool(r.x & mt) == bool(r.z & mc) else 0)
+                self.rows[i] = PauliString(r.n, r.x ^ (mt if xc else 0), r.z ^ (mc if zt else 0), k)
+        return self
+
+    def apply_gate(self, op) -> "RowTableau":
+        if op.kind == "cnot":
+            return self.cnot(*op.qubits)
+        if op.kind == "cz":
+            c, t = op.qubits
+            return self._conjugate("h", t).cnot(c, t)._conjugate("h", t)
+        if op.kind == "swap":
+            a, b = op.qubits
+            return self.cnot(a, b).cnot(b, a).cnot(a, b)
+        return self._conjugate(op.kind, op.qubits[0])
+
+    def measure(self, q: int, draw) -> tuple[int, int, bool]:
+        """(constant, variable mask, deterministic) of a Z measurement on qubit q."""
+        m, n, rows, var = 1 << q, self.n, self.rows, self.vars
+        p = next((i for i in range(n, 2 * n) if rows[i].x & m), None)
+        if p is not None:
+            row_p, var_p = rows[p], var[p]
+            for i in range(2 * n):
+                if i != p and i != p - n and (rows[i].x & m):
+                    rows[i] = pauli_mul(row_p, rows[i])
+                    var[i] ^= var_p
+            rows[p - n], var[p - n] = row_p, var_p
+            const, mask = draw()
+            rows[p], var[p] = PauliString(n, 0, m, 2 * const), mask
+            return const, mask, False
+        acc, mask = PauliString.identity(n), 0
+        for j in range(n):
+            if rows[j].x & m:
+                acc = pauli_mul(acc, rows[j + n])
+                mask ^= var[j + n]
+        assert acc.x == 0 and acc.z == m, "deterministic outcome did not reduce to a Z letter"
+        return (1 if acc.k == 2 else 0), mask, True
+
+    def assign(self, values: int) -> "RowTableau":
+        """Substitute bit r of `values` for variable r in every row sign."""
+        for i, v in enumerate(self.vars):
+            if v:
+                if (v & values).bit_count() & 1:
+                    self.rows[i] = -self.rows[i]
+                self.vars[i] = 0
+        return self

@@ -12,7 +12,7 @@ from bladesim import (
 )
 from bladesim.backends import BACKENDS
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
-from oracles import circuit_unitary
+from oracles import circuit_unitary, set_rows
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
@@ -177,8 +177,8 @@ def test_validate_catches_corrupted_gate_rule(monkeypatch):
     # but desynchronizes it from the true state
     def bad_s(self, q):
         m = 1 << q
-        for i, r in enumerate(self.rows):
-            self.rows[i] = type(r)(r.n, r.x, r.z ^ (r.x & m), r.k)  # drops the phase flip
+        rows = [type(r)(r.n, r.x, r.z ^ (r.x & m), r.k) for r in self.rows]  # drops the phase flip
+        set_rows(self, rows)
         return self
 
     monkeypatch.setattr(bladesim.tableau.Tableau, "s", bad_s)

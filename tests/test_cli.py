@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bladesim.cli import main, parse_sizes
+from oracles import set_rows
 
 BELL_SRC = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n"
 
@@ -74,8 +75,8 @@ def test_validate_failure_exit_code(bell_file, capsys, monkeypatch):
 
     def bad_s(self, q):
         m = 1 << q
-        for i, r in enumerate(self.rows):
-            self.rows[i] = type(r)(r.n, r.x, r.z ^ (r.x & m), r.k)
+        rows = [type(r)(r.n, r.x, r.z ^ (r.x & m), r.k) for r in self.rows]
+        set_rows(self, rows)
         return self
 
     monkeypatch.setattr(bladesim.tableau.Tableau, "s", bad_s)

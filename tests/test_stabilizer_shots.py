@@ -64,20 +64,20 @@ def test_batched_draw_equals_sequential_draws():
 
 
 def test_shot_loop_does_no_tableau_work(monkeypatch):
-    # GHZ-16 measured out: the row products are made once, in the one pass,
-    # and no shot copies a tableau
+    # GHZ-16 measured out: the measurements (and their row products) are
+    # made once, in the one pass, and no shot copies a tableau
     made = 0
-    original = bladesim.tableau.pauli_mul
+    original = bladesim.tableau.Tableau.measure
 
-    def counting_mul(a, b):
+    def counting_measure(self, q, draw):
         nonlocal made
         made += 1
-        return original(a, b)
+        return original(self, q, draw)
 
     def no_copy(self):
         raise AssertionError("a shot copied the tableau")
 
-    monkeypatch.setattr(bladesim.tableau, "pauli_mul", counting_mul)
+    monkeypatch.setattr(bladesim.tableau.Tableau, "measure", counting_measure)
     monkeypatch.setattr(bladesim.tableau.Tableau, "copy", no_copy)
     n = 16
     body = "h 0\n" + "".join(f"cnot {q} {q + 1}\n" for q in range(n - 1)) + "".join(f"measure {q}\n" for q in range(n))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,81 @@ from bladesim import (
     TableauInvariantError,
     random_clifford_circuit,
 )
-from oracles import gate_unitary, pauli_matrix_oracle
+from bladesim.circuit import Circuit
+from oracles import RowTableau, gate_unitary, pauli_matrix_oracle, set_rows
+
+ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
+
+
+def assert_lockstep(circuit, seed: int) -> None:
+    """Walk the column tableau and the row engine together; every step must agree exactly.
+
+    Each random outcome is a drawn constant plus a fresh variable, so signs
+    and variable masks both move.  After every op all 2n rows (with signs),
+    the variable masks and each measurement's (const, mask, deterministic)
+    triple must be equal; so must the rows once the variables are assigned,
+    and the stabilizer lines must equal the row engine's text.
+    """
+    n = circuit.n
+    cols, rows = Tableau(n), RowTableau(n)
+    rng, draws = random.Random(seed), []
+
+    def fresh():
+        draws.append((rng.getrandbits(1), 1 << len(draws)))
+        return draws[-1]
+
+    for i, op in enumerate(circuit.ops):
+        where = (seed, i, op)
+        if op.is_measure:
+            got = cols.measure(op.qubits[0], fresh)
+            assert got == rows.measure(op.qubits[0], lambda: draws[-1]), where
+        else:
+            cols.apply_gate(op)
+            rows.apply_gate(op)
+        assert cols.rows == rows.rows and cols.vars == rows.vars, where
+    values = rng.getrandbits(max(len(draws), 1))
+    assert cols.assign(values).rows == rows.assign(values).rows, seed
+    assert cols.stabilizer_lines() == [("+" if r.k == 0 else "") + r.to_text() for r in rows.rows[n:]], seed
+    cols.check_invariants()
+
+
+def test_columns_match_row_engine_on_random_circuits():
+    for seed in range(300):
+        n = 1 + seed % 9
+        assert_lockstep(random_clifford_circuit(n, 40, seed, gate_kinds=ALL_KINDS, measure_prob=0.25), seed)
+
+
+def test_columns_match_row_engine_on_wide_circuits():
+    # GHZ-n, a random all-kinds block U and U^-1, every qubit measured; and a
+    # h/s/cnot scramble with every qubit measured twice in a row
+    for seed in range(3):
+        rng, n = random.Random(seed), 24
+        u = [
+            GateOp(k, tuple(rng.sample(range(n), 2 if k in ("cnot", "cz", "swap") else 1)))
+            for k in rng.sample(ALL_KINDS * 4, 36)
+        ]
+        undo = {"s": "sdg", "sdg": "s"}
+        ops = [GateOp("h", (0,))] + [GateOp("cnot", (q, q + 1)) for q in range(n - 1)]
+        ops += u + [GateOp(undo.get(g.kind, g.kind), g.qubits) for g in reversed(u)]
+        ops += [GateOp("measure", (q,), q) for q in range(n)]
+        assert_lockstep(Circuit(n, tuple(ops), n), seed)
+        scramble = random_clifford_circuit(n, 4 * n, seed, gate_kinds=("h", "s", "cnot"))
+        twice = [GateOp("measure", (q // 2,), q) for q in range(2 * n)]
+        assert_lockstep(Circuit(n, scramble.ops + tuple(twice), 2 * n), seed)
+
+
+def test_native_cz_and_swap_match_their_compositions():
+    for seed in range(60):
+        n = 2 + seed % 6
+        t = Tableau(n)
+        for op in random_clifford_circuit(n, 30, seed, gate_kinds=ALL_KINDS, measure_prob=0.2).ops:
+            if op.is_measure:
+                t.measure(op.qubits[0], lambda: (seed & 1, 1 << seed))
+            else:
+                t.apply_gate(op)
+        a, b = random.Random(seed).sample(range(n), 2)
+        assert t.copy().cz(a, b).rows == t.copy().h(b).cnot(a, b).h(b).rows, seed
+        assert t.copy().swap(a, b).rows == t.copy().cnot(a, b).cnot(b, a).cnot(a, b).rows, seed
 
 
 def test_fresh_tableau():
@@ -32,7 +107,7 @@ def test_single_qubit_conjugation_against_oracle():
             u = gate_unitary(GateOp(kind, (q,)), 2)
             for row in rows:
                 t = Tableau(2)
-                t.rows = [row] * 4  # structure is irrelevant for conjugation rules
+                set_rows(t, [row] * 4)  # structure is irrelevant for conjugation rules
                 t.apply_gate(GateOp(kind, (q,)))
                 expected = u @ pauli_matrix_oracle(row) @ u.conj().T
                 assert np.allclose(pauli_matrix_oracle(t.rows[0]), expected, atol=1e-12), (kind, q, row)
@@ -47,7 +122,7 @@ def test_two_qubit_conjugation_against_oracle():
             u = gate_unitary(GateOp(kind, qubits), 2)
             for row in rows:
                 t = Tableau(2)
-                t.rows = [row] * 4
+                set_rows(t, [row] * 4)
                 t.apply_gate(GateOp(kind, qubits))
                 expected = u @ pauli_matrix_oracle(row) @ u.conj().T
                 assert np.allclose(pauli_matrix_oracle(t.rows[0]), expected, atol=1e-12)
@@ -194,11 +269,17 @@ def test_copy_is_independent():
 
 def test_invariant_checker_detects_corruption():
     t = Tableau(2)
-    t.rows[2] = t.rows[3]  # duplicate stabilizer: rank drops, commutation breaks
-    with pytest.raises(TableauInvariantError):
+    rows = t.rows
+    rows[2] = rows[3]  # duplicate stabilizer: rank drops, commutation breaks
+    set_rows(t, rows)
+    with pytest.raises(TableauInvariantError, match="rows 0 and 2 unexpectedly commute"):
         t.check_invariants()
+    # one sign bit per row cannot hold a non-Hermitian row; a row past the
+    # last one is the corruption the columns can hold
     t2 = Tableau(2)
-    t2.rows[2] = t2.rows[2].with_phase(1)  # non-Hermitian row
+    with pytest.raises(ValueError):
+        set_rows(t2, [t2.rows[0].with_phase(1)] + t2.rows[1:])
+    set_rows(t2, t2.rows + [PauliString.from_text("-ZI")])
     with pytest.raises(TableauInvariantError):
         t2.check_invariants()
 
