@@ -2,8 +2,9 @@
 
 Backends:
   * "stabilizer":     tableau engine, scales to thousands of qubits.
-  * "dense-clifford": the state lives inside the algebra and gates act as
-                      operator pairs; capped by the dense-oracle limit.
+  * "dense-clifford": the state lives inside the algebra; gates act as
+                      operator pairs and a measurement as its outcome
+                      projector (1 -+ e1_q)/2; capped by the dense-oracle limit.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
 Every shot draws from its own (seed, shot) stream.  The two dense backends
@@ -25,8 +26,8 @@ import time
 import numpy as np
 
 from . import statevector as sv
-from .circuit import Circuit
-from .dense import check_cap
+from .circuit import MEASURE, Circuit
+from .dense import DenseMultivector, check_cap
 from .errors import TableauInvariantError
 from .gates import gate_to_operator_pair, qubit_projector
 from .ideal import IdealState, OperatorPair, apply, to_statevector
@@ -150,33 +151,33 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
 
 
 def _operator_pairs(circuit: Circuit) -> dict:
-    """Operator pair of every distinct (kind, qubits) gate, each built once."""
+    """Operator pair of every distinct (kind, qubits) op, each built once; a measurement's is (1 - e1_q)/2."""
     pairs = {}
     for op in circuit.ops:
-        if not op.is_measure and (op.kind, op.qubits) not in pairs:
-            pairs[(op.kind, op.qubits)] = gate_to_operator_pair(op, circuit.n)
+        if (op.kind, op.qubits) not in pairs:
+            pairs[(op.kind, op.qubits)] = (
+                OperatorPair.real(qubit_projector(circuit.n, op.qubits[0], 1))
+                if op.is_measure
+                else gate_to_operator_pair(op, circuit.n)
+            )
     return pairs
 
 
-def _ideal_p1(state: IdealState, q: int) -> tuple[float, float]:
-    """Probability of outcome 1 on qubit q, and the state's total weight."""
-    w = np.abs(to_statevector(state)) ** 2
-    total = float(w.sum())
-    bit = ((np.arange(w.size) >> (state.n - 1 - q)) & 1).astype(bool)
-    return float(w[bit].sum() / total), total
+def _ideal_collapse(state: IdealState, one: DenseMultivector, outcome: int) -> IdealState:
+    """Keep `one`, the outcome-1 part P1 psi, or psi - one; renormalize.
+
+    The ideal basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
+    """
+    part = one if outcome else state.psi - one
+    return IdealState(state.n, part * (1.0 / math.sqrt(2**state.n * float(part.c @ part.c))))
 
 
-def _ideal_collapse(state: IdealState, q: int, outcome: int, p1: float, total: float) -> IdealState:
-    """Project qubit q onto `outcome` and renormalize by that branch's weight."""
-    branch = p1 if outcome else 1.0 - p1
-    projected = apply(OperatorPair.real(qubit_projector(state.n, q, outcome)), state)
-    return IdealState(state.n, projected.psi * (1.0 / math.sqrt(branch * total)))
-
-
-def _ideal_measure(state: IdealState, q: int, rng) -> tuple[IdealState, int]:
-    p1, total = _ideal_p1(state, q)
+def _ideal_measure(state: IdealState, project: OperatorPair, rng) -> tuple[IdealState, int]:
+    """Measure inside the algebra: p1 = |P1 psi|^2 / |psi|^2 in coefficient norms."""
+    one = apply(project, state).psi
+    p1 = float(one.c @ one.c) / float(state.psi.c @ state.psi.c)
     outcome = 1 if rng.random() < p1 else 0
-    return _ideal_collapse(state, q, outcome, p1, total), outcome
+    return _ideal_collapse(state, one, outcome), outcome
 
 
 def _frequencies(records: list[list[int]]) -> dict[tuple, float]:
@@ -211,7 +212,8 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         check_cap(n, "dense-clifford backend")
         pairs = _operator_pairs(circuit)
         step = lambda s, op: apply(pairs[(op.kind, op.qubits)], s)  # noqa: E731
-        records, s = _shots(circuit, shots, seed, IdealState.zero_state(n), step, _ideal_measure)
+        measure = lambda s, q, rng: _ideal_measure(s, pairs[(MEASURE, (q,))], rng)  # noqa: E731
+        records, s = _shots(circuit, shots, seed, IdealState.zero_state(n), step, measure)
         final = {"statevector": statevector_pairs(to_statevector(s))}
     elapsed = time.perf_counter() - t0
     return {
@@ -298,7 +300,7 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
                 if p <= BRANCH_EPS:
                     break  # no branch to collapse onto
                 psi = sv.collapse(psi, q, n, outcome)
-                state = _ideal_collapse(state, q, outcome, *_ideal_p1(state, q))
+                state = _ideal_collapse(state, apply(pairs[(op.kind, op.qubits)], state).psi, outcome)
             else:
                 t.apply_gate(op)
                 psi = sv.apply_gate(psi, op, n)

@@ -82,6 +82,12 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
+        for i, op in enumerate(self.ops):
+            if op.kind == MEASURE:
+                if not (isinstance(op.slot, int) and 0 <= op.slot < self.creg):
+                    raise ValueError(f"op {i}, {op}: the slot must be an int in [0, {self.creg})")
+            elif len(op.qubits) == 2 and op.qubits[0] == op.qubits[1]:
+                raise ValueError(f"op {i}, {op}: a two-qubit op needs two distinct qubits")
 
     @property
     def measure_count(self) -> int:

@@ -21,7 +21,8 @@ then acting with another is the same as acting first and preparing once:
 left actions and state preparation commute through the product.
 
 Nothing here is normalized: preparing with g yields a state whose norm
-depends on g, and probabilities are taken only at the amplitude boundary.
+depends on g.  The basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2,
+and the dense backend measures with (1 -+ e1_q)/2 in coefficient norms.
 """
 
 from __future__ import annotations

@@ -1,18 +1,29 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bladesim.backends
 import bladesim.tableau
 from bladesim import (
     CapacityError,
+    Circuit,
+    GateOp,
+    IdealState,
+    apply,
     born_distribution,
+    gate_to_operator_pair,
     parse,
     random_clifford_circuit,
     run,
+    theta,
+    to_statevector,
     validate,
 )
-from bladesim.backends import BACKENDS
-from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
-from oracles import circuit_unitary, set_rows
+from bladesim import statevector as sv
+from bladesim.backends import BACKENDS, BRANCH_EPS, _ideal_measure, _operator_pairs
+from bladesim.circuit import MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
+from oracles import circuit_unitary, random_dense, set_rows
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
@@ -128,6 +139,68 @@ def test_json_pair_helpers():
     rho = density_from_generator(local_blade(1, 0, 2))
     m = matrix_pairs(rho)
     assert m == [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # row-major |1><1|
+
+
+class _Draw:
+    """A stand-in rng whose every draw is `u`: a measurement returns 1 exactly when p1 > u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _ideal_states(n: int, rng) -> list:
+    """Generic states from random elements, then random Clifford prefixes run on
+    the vacuum (stabilizer states, whose p1 is 0, 1/2 or 1) and on a generic state."""
+    generic = [theta(random_dense(n, rng)) for _ in range(3)]
+    states = list(generic)
+    for state in [IdealState.zero_state(n)] * 3 + generic[:1]:
+        circuit = random_clifford_circuit(n, 4 * n, seed=int(rng.integers(1 << 30)), gate_kinds=ALL_KINDS)
+        for op in circuit.ops:
+            state = apply(gate_to_operator_pair(op, n), state)
+        states.append(state)
+    return states
+
+
+def test_in_algebra_measurement_matches_state_vector():
+    # the projector (1 - e1_q)/2 in coefficient norms against the state
+    # vector's Born rule and collapse, for every qubit and both outcomes
+    rng = np.random.default_rng(31)
+    tol = 1e-12
+    for n in range(1, 6):
+        pairs = _operator_pairs(Circuit(n, tuple(GateOp(MEASURE, (q,), q) for q in range(n)), n))
+        for state in _ideal_states(n, rng):
+            amps = to_statevector(state)
+            for q in range(n):
+                p = sv.born_p1(amps, q, n)
+                # a draw just below p must give 1 and one just above must
+                # give 0, so the backend's p1 lies within tol of p
+                for outcome, u in ((1, p - tol), (0, p + tol)):
+                    if (p if outcome else 1.0 - p) <= BRANCH_EPS:
+                        continue  # no branch to collapse onto
+                    collapsed, got = _ideal_measure(state, pairs[(MEASURE, (q,))], _Draw(u))
+                    assert got == outcome, (n, q, p)
+                    dev = np.max(np.abs(to_statevector(collapsed) - sv.collapse(amps, q, n, outcome)))
+                    assert dev <= tol, (n, q, outcome, dev)
+
+
+def test_dense_shot_loop_measures_inside_the_algebra(monkeypatch):
+    # amplitudes are read once, for `final`; no measurement reads them
+    calls = 0
+    original = bladesim.backends.to_statevector
+
+    def counting(state):
+        nonlocal calls
+        calls += 1
+        return original(state)
+
+    monkeypatch.setattr(bladesim.backends, "to_statevector", counting)
+    circuit = parse((Path(__file__).resolve().parent.parent / "circuits" / "teleport_like.qc").read_text())
+    assert circuit.measure_count > 0
+    run(circuit, "dense-clifford", shots=50, seed=0)
+    assert calls == 1
 
 
 def test_validate_passes_on_bell():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, serialize
-from bladesim.circuit import MAX_QUBITS, MAX_SLOTS
+from bladesim.circuit import MAX_QUBITS, MAX_SLOTS, TWO_QUBIT_GATES
 from corpus import INVALID_FILES, VALID_FILES, circuits
 
 
@@ -29,7 +29,7 @@ def test_parse_measure_slots():
 def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse("qubits 1\ncnot 0 0")
-    assert e.value.line == 2
+    assert (e.value.line, e.value.column, e.value.message) == (2, 8, "'cnot' needs two distinct qubits")
     with pytest.raises(ParseError) as e:
         parse("qubits 2\nh 5")
     assert e.value.line == 2 and e.value.token == "5"
@@ -50,6 +50,24 @@ def test_parse_error_positions():
             parse(source)
         assert (e.value.line, e.value.column, e.value.token) == where
     assert issubclass(ParseError, BladesimError)
+
+
+def test_circuit_rejects_measurement_outside_its_register():
+    # creg defaults to 0, so slot 0 has no register bit to land in
+    with pytest.raises(ValueError, match=r"op 1, .*'measure'.*\[0, 0\)"):
+        Circuit(1, (GateOp("h", (0,)), GateOp("measure", (0,), 0)))
+    assert Circuit(1, (GateOp("h", (0,)), GateOp("measure", (0,), 0)), 1).creg == 1
+
+
+def test_circuit_rejects_measurement_without_slot():
+    with pytest.raises(ValueError, match=r"op 0, .*slot=None"):
+        Circuit(1, (GateOp("measure", (0,)),), 1)
+
+
+def test_circuit_rejects_two_qubit_op_on_one_qubit():
+    for kind in TWO_QUBIT_GATES:
+        with pytest.raises(ValueError, match=f"op 0, .*'{kind}'.*two distinct qubits"):
+            Circuit(2, (GateOp(kind, (1, 1)),))
 
 
 def test_valid_corpus_round_trips():

@@ -123,10 +123,10 @@ GOLDEN = {
             "e8e83b808de4cdd6892f8eda59cfabe7a59f121f8f4a7053244d28e3dea8ad95",
         ],
         "validate": [
-            "6d5a0e9d45bde4bbdd98469c2c47168de0bd8b6cc24d6c02acda3dbf69db7dde",
-            "a309bd035cd7772cbe2810f7b152821d3ea7f83564ce59cf8ac82a173613832f",
-            "fe1243fd5a0a58c679fd638f85b0e8c2e5944532e5857190fca86658c26ce9a9",
-            "9917b3efb89f1e5b876aa9f5c30a214216510f719441833ef6f6351e233a005a",
+            "bc3fb59da5b2b27b857e6cb8a31b9eae8d6f378922991c65cadb9df81199c6e6",
+            "8d7b3bc32d4024efe30b15af73bfaae90a277d429d81e591f854ef4eb832a85a",
+            "845ddf960bb5971f67088d94268953ab78bd7a6c9268d452ce2333f769008f9a",
+            "e30972b7b9e5949d6ef4bff0181165525cd2f910b563be0e97907e793eb75b19",
         ],
     },
     "random0": {
