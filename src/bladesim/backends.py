@@ -7,28 +7,36 @@ Backends:
                       projector (1 -+ e1_q)/2; capped by the dense-oracle limit.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
-Every shot draws from its own (seed, shot) stream.  The two dense backends
-run through one shot loop, `_shots`, and differ only in a start state, a gate
-`step` and a `measure`.  Acting with g on a state prepared by h is preparing
-with g h, so the gate prefix before the first measurement is evolved once and
-each shot starts from it.  The stabilizer backend walks the circuit once for
-all shots (`_stabilizer_shots`): every random outcome stays a variable, each
-recorded outcome is a parity of the shot's draws, and a shot only draws its
-bits.  `validate` walks the circuit once on shot 0's stream with all three in
-lockstep: the tableau draws each outcome and the dense backends follow it.
+Every shot draws from its own (seed, shot) stream, the numpy Generator that
+default_rng([seed, shot]) builds, bit for bit.  `_shot_streams` is the one
+place a run builds them: it evaluates numpy's SeedSequence hash for all shots
+at once on uint32 arrays, then seeds each shot's PCG64 with its words, about
+0.1 us of hashing and 2-3 us of set-up per shot against some 20 us for a
+default_rng call.
+
+The two dense backends run through one shot loop, `_shots`, and differ only
+in a start state, a gate `step` and a `measure`.  Acting with g on a state
+prepared by h is preparing with g h, so the gate prefix before the first
+measurement is evolved once and each shot starts from it.  The stabilizer
+backend walks the circuit once for all shots (`_stabilizer_shots`): every
+random outcome stays a variable, each recorded outcome is a parity of the
+shot's draws, and a shot only draws its bits.  `validate` walks the circuit
+once on shot 0's stream with all three in lockstep: the tableau draws each
+outcome and the dense backends follow it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
 import numpy as np
 
 from . import statevector as sv
-from .circuit import MEASURE, Circuit
+from .circuit import MAX_SHOTS, MEASURE, Circuit
 from .dense import DenseMultivector, check_cap
-from .errors import TableauInvariantError
+from .errors import BladesimError, TableauInvariantError
 from .gates import gate_to_operator_pair, qubit_projector
 from .ideal import IdealState, OperatorPair, apply, to_statevector
 from .tableau import Tableau
@@ -42,8 +50,124 @@ BRANCH_EPS = 1e-12  # Born branches at or below this probability are dropped
 SCALAR_DRAWS = 4  # a shot with at most this many random outcomes draws them one by one
 
 
-def _shot_rng(seed: int, shot: int):
-    return np.random.default_rng([int(seed), int(shot)])
+# numpy's SeedSequence: a pool of four 32-bit words, a hashmix whose constant
+# steps by a fixed multiplier at every call, and a mix of two words
+_POOL = 4
+_MULT_A = 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_steps(h: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Xor words and multipliers of `count` hashmix calls from constant h, as uint32 columns."""
+    consts = [h]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _spread(xor: np.ndarray, mul: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The steps that mix pool word s into each other word, one row per pool word.
+
+    numpy takes steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2 for the other words
+    in order; row s gets step 0, and its result is thrown away.
+    """
+    rows = [4 + 3 * s + d - (d > s) if d != s else 0 for d in range(_POOL)]
+    return xor[rows], mul[rows]
+
+
+# the entropy hash's first 16 steps fill the pool and mix each word into the
+# other three; the output hash's 8 steps give PCG64's four 64-bit seed words,
+# step 4j + k reading pool word k
+_MIX_STEPS = _hash_steps(0x43B0D7E5, _MULT_A, _POOL * _POOL)
+_FILL = (_MIX_STEPS[0][:_POOL], _MIX_STEPS[1][:_POOL])
+_SPREADS = [_spread(*_MIX_STEPS, s) for s in range(_POOL)]
+_OUT = tuple(c.reshape(2, _POOL, 1) for c in _hash_steps(0x8B51F9DD, 0x58F38DED, 2 * _POOL))
+
+
+def _hashmix(value, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """A seed's 32-bit words, lowest first, as SeedSequence reads an int."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def _pcg64_words(seed: int, shots: np.ndarray) -> np.ndarray:
+    """(len(shots), 4) uint64: the words SeedSequence([seed, shot]) gives PCG64, a row per shot index.
+
+    Each shot index must be below 2^32, one entropy word.  The hash runs for
+    all shots at once, one array row per pool word and one column per shot;
+    uint32 arithmetic wraps as numpy's own does.  Entropy words past the pool
+    are mixed into every pool word at the end.
+    """
+    entropy = [*_seed_words(seed), np.asarray(shots, dtype=np.uint32)]
+    pool = np.zeros((_POOL, len(entropy[-1])), dtype=np.uint32)
+    for i, word in enumerate(entropy[:_POOL]):
+        pool[i] = word
+    pool = _hashmix(pool, *_FILL)
+    for s, steps in enumerate(_SPREADS):
+        mixed = _mix(pool, _hashmix(pool[s], *steps))
+        mixed[s] = pool[s]
+        pool = mixed
+    extra = entropy[_POOL:]
+    if extra:
+        xor, mul = _hash_steps(int(_MIX_STEPS[1][-1, 0]), _MULT_A, _POOL * len(extra))
+        for i, word in enumerate(extra):
+            at = slice(_POOL * i, _POOL * (i + 1))
+            pool = _mix(pool, _hashmix(word, xor[at], mul[at]))
+    out = _hashmix(pool, *_OUT).reshape(2 * _POOL, -1)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _words_sequence() -> type:
+    """The seed sequence that hands PCG64 one shot's precomputed words.
+
+    A BitGenerator takes its seed words from any ISeedSequence, so no
+    SeedSequence runs.  The type is made on first use, so that importing
+    bladesim does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for
+                raise TypeError("only PCG64's four uint64 seed words are precomputed")
+            return self.words
+
+    return Words
+
+
+def _shot_streams(seed: int, shots: int):
+    """Yield each shot's Generator in shot order, equal to default_rng([seed, shot]).
+
+    One vectorized hash gives every shot's PCG64 seed words; each shot then
+    costs one PCG64 built from its words.
+    """
+    words_sequence = _words_sequence()
+    for words in _pcg64_words(int(seed), np.arange(shots, dtype=np.uint32)):
+        yield np.random.Generator(np.random.PCG64(words_sequence(words)))
+
+
+def _check_shots(shots: int) -> None:
+    if shots > MAX_SHOTS:
+        raise BladesimError(f"shots must be at most {MAX_SHOTS} (2^20), got {shots}")
 
 
 def statevector_pairs(v: np.ndarray) -> list[list[float]]:
@@ -85,9 +209,8 @@ def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure):
     for op in ops[:cut]:
         state = step(state, op)
     base, records = state, []
-    for shot in range(shots):
+    for rng in _shot_streams(seed, shots):
         state = base
-        rng = _shot_rng(seed, shot)
         rec = []
         for op in ops[cut:]:
             if op.is_measure:
@@ -99,15 +222,14 @@ def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure):
     return records, state
 
 
-def _shot_bits(seed: int, shot: int, draws: int) -> int:
-    """The shot's first `draws` integers(0, 2) draws, draw r at bit r.
+def _shot_bits(rng, draws: int) -> int:
+    """The stream's first `draws` integers(0, 2) draws, draw r at bit r.
 
     Past a few draws one batched call is cheaper than scalar calls, and it
     gives the same bits: each draw takes one 32-bit word from the stream.
     """
     if not draws:
         return 0
-    rng = _shot_rng(seed, shot)
     if draws <= SCALAR_DRAWS:
         return sum(int(rng.integers(0, 2)) << r for r in range(draws))
     bits = rng.integers(0, 2, size=draws).astype(np.uint8)
@@ -137,8 +259,9 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
     consts = [const for const, _ in outcomes]
     live = [(i, mask) for i, (_, mask) in enumerate(outcomes) if mask]
     records, seen = [], {}  # seen: the record of each distinct draw so far
-    for shot in range(shots):
-        bits = _shot_bits(seed, shot, draws)
+    # a circuit without random outcomes draws nothing, so it builds no streams
+    for rng in _shot_streams(seed, shots) if draws else [None] * shots:
+        bits = _shot_bits(rng, draws)
         rec = seen.get(bits)
         if rec is None:
             rec = seen[bits] = list(consts)
@@ -198,6 +321,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    _check_shots(shots)
     n = circuit.n
     t0 = time.perf_counter()
     if backend == "stabilizer":
@@ -269,12 +393,13 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     binomial sigmas below that.  One report entry per check.
     """
     check_cap(circuit.n, "validation")
+    _check_shots(shots)
     stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / max(shots, 1)))
     n = circuit.n
     ops = circuit.ops
     pairs = _operator_pairs(circuit)
     t, psi, state = Tableau(n), sv.zero_state(n), IdealState.zero_state(n)
-    rng = _shot_rng(seed, 0)
+    rng = next(_shot_streams(seed, 1))
     first: dict[str, str] = {}  # check name -> its first failure, naming the op
     rows_dev = dense_dev = 0.0
 

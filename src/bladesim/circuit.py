@@ -31,9 +31,11 @@ MEASURE = "measure"
 # a tableau holds 2n x 2n bits, stored as 2n columns of 2n bits (128 MB once
 # they fill in at 2^14 qubits), so memory, not gate time, stops the parser and
 # the tableau-gate bench at 2^14 qubits; 2^16 slots allow four measurements
-# per qubit there
+# per qubit there.  Shot seeding allocates a few words per shot up front, and
+# records take a list per shot, so a run takes at most 2^20 shots.
 MAX_QUBITS = 1 << 14
 MAX_SLOTS = 1 << 16
+MAX_SHOTS = 1 << 20
 
 _ARITY = {**{g: 1 for g in ONE_QUBIT_GATES}, **{g: 2 for g in TWO_QUBIT_GATES}, MEASURE: 1}
 
@@ -83,10 +85,17 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         for i, op in enumerate(self.ops):
+            arity = _ARITY.get(op.kind)
+            if arity is None:
+                raise ValueError(f"op {i}, {op}: unknown kind, expected one of {tuple(_ARITY)}")
+            if len(op.qubits) != arity:
+                raise ValueError(f"op {i}, {op}: {op.kind!r} takes {arity} qubit(s)")
+            if not all(isinstance(q, int) and 0 <= q < self.n for q in op.qubits):
+                raise ValueError(f"op {i}, {op}: qubits must be ints in [0, {self.n})")
             if op.kind == MEASURE:
                 if not (isinstance(op.slot, int) and 0 <= op.slot < self.creg):
                     raise ValueError(f"op {i}, {op}: the slot must be an int in [0, {self.creg})")
-            elif len(op.qubits) == 2 and op.qubits[0] == op.qubits[1]:
+            elif arity == 2 and op.qubits[0] == op.qubits[1]:
                 raise ValueError(f"op {i}, {op}: a two-qubit op needs two distinct qubits")
 
     @property

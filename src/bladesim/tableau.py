@@ -96,10 +96,11 @@ class Tableau:
     `xs[q]` and `zs[q]` hold qubit q's column of the 2n generators and `r`
     their constant signs, row i at bit i; `vars[i]` is the GF(2) variable
     mask of row i's sign, 0 until `measure` is given a fresh variable for a
-    random outcome.
+    random outcome.  Bit i of `live` is set for every row whose mask may be
+    nonzero, so that a deterministic outcome visits only those rows' masks.
     """
 
-    __slots__ = ("n", "xs", "zs", "r", "vars")
+    __slots__ = ("n", "xs", "zs", "r", "vars", "live")
 
     _GATE_METHODS = frozenset(ONE_QUBIT_GATES + TWO_QUBIT_GATES)
 
@@ -111,10 +112,11 @@ class Tableau:
         self.zs: list[int] = [1 << (n + j) for j in range(n)]
         self.r = 0
         self.vars: list[int] = [0] * (2 * n)
+        self.live = 0
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
-        t.n, t.xs, t.zs, t.r, t.vars = self.n, list(self.xs), list(self.zs), self.r, list(self.vars)
+        t.n, t.xs, t.zs, t.r, t.vars, t.live = self.n, list(self.xs), list(self.zs), self.r, list(self.vars), self.live
         return t
 
     def _rows(self, lo: int, hi: int) -> list[PauliString]:
@@ -291,16 +293,19 @@ class Tableau:
             if var_p:
                 for i in _indices(targets):
                     var[i] ^= var_p
+                self.live |= targets | bd
             const, mask = draw()
             self.r = (self.r ^ hi ^ (targets if sign_p else 0)) & keep | (sign_p << (p - n)) | (const << p)
             var[p - n], var[p] = var_p, mask
+            if mask:
+                self.live |= bp
             return const, mask, False
         selected = (anti & ((1 << n) - 1)) << n
         x, z, k = self._product(selected)
         if x != 0 or z != 1 << q:
             raise TableauInvariantError("deterministic outcome did not reduce to a Z letter")
         mask = 0
-        for i in _indices(selected):
+        for i in _indices(selected & self.live):
             mask ^= var[i]
         return k >> 1, mask, True
 
@@ -323,6 +328,7 @@ class Tableau:
                 if (v & values).bit_count() & 1:
                     self.r ^= 1 << i
                 self.vars[i] = 0
+        self.live = 0
         return self
 
     def expectation(self, p: PauliString) -> int:

@@ -3,7 +3,9 @@
 The matrix oracles are built directly from numpy kron/index arithmetic so the
 checks do not share code with the kernels they verify.  `per_shot_stabilizer`
 is the stabilizer backend's concrete shot loop, the slow path that the
-one-pass symbolic `run` must reproduce bit for bit.  `RowTableau` is the
+one-pass symbolic `run` must reproduce bit for bit, and `_shot_rng` is a
+shot's stream built the slow way, by numpy's own `default_rng([seed, shot])`,
+which the vectorized seeding in `backends` must equal.  `RowTableau` is the
 row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step, and `set_rows` writes rows into a column tableau.
 """
@@ -135,6 +137,11 @@ def random_pauli_string(n: int, rng):
     return PauliString(n, x, z, int(rng.integers(0, 4)))
 
 
+def _shot_rng(seed: int, shot: int):
+    """Shot `shot`'s stream: numpy's SeedSequence and PCG64 seeding, once per call."""
+    return np.random.default_rng([int(seed), int(shot)])
+
+
 def per_shot_stabilizer(circuit, shots: int, seed: int):
     """(records, final stabilizer lines) from a fresh tableau per shot.
 
@@ -142,7 +149,6 @@ def per_shot_stabilizer(circuit, shots: int, seed: int):
     (seed, shot) stream, drawing one integers(0, 2) at each random outcome.
     """
     from bladesim import Tableau
-    from bladesim.backends import _shot_rng
 
     records = []
     for shot in range(shots):

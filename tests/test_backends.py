@@ -6,6 +6,7 @@ import pytest
 import bladesim.backends
 import bladesim.tableau
 from bladesim import (
+    BladesimError,
     CapacityError,
     Circuit,
     GateOp,
@@ -22,7 +23,7 @@ from bladesim import (
 )
 from bladesim import statevector as sv
 from bladesim.backends import BACKENDS, BRANCH_EPS, _ideal_measure, _operator_pairs
-from bladesim.circuit import MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
+from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from oracles import circuit_unitary, random_dense, set_rows
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
@@ -128,6 +129,9 @@ def test_run_rejects_bad_arguments():
         run(BELL, backend="quantum")
     with pytest.raises(ValueError):
         run(BELL, shots=0)
+    for check in (run, validate):
+        with pytest.raises(BladesimError, match="at most 1048576"):
+            check(BELL, shots=MAX_SHOTS + 1)
 
 
 def test_json_pair_helpers():

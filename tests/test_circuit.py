@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given
 
-from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, serialize
+from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, run, serialize
+from bladesim.backends import BACKENDS
 from bladesim.circuit import MAX_QUBITS, MAX_SLOTS, TWO_QUBIT_GATES
 from corpus import INVALID_FILES, VALID_FILES, circuits
 
@@ -68,6 +69,32 @@ def test_circuit_rejects_two_qubit_op_on_one_qubit():
     for kind in TWO_QUBIT_GATES:
         with pytest.raises(ValueError, match=f"op 0, .*'{kind}'.*two distinct qubits"):
             Circuit(2, (GateOp(kind, (1, 1)),))
+
+
+def _rejected_on_every_backend(ops, match: str):
+    # the op never reaches a backend: building the circuit raises
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match=match):
+            run(Circuit(2, (*ops, GateOp("measure", (1,), 0)), 1), backend)
+
+
+def test_circuit_rejects_negative_qubit():
+    _rejected_on_every_backend([GateOp("h", (-1,))], r"op 0, .*'h'.*qubits must be ints in \[0, 2\)")
+
+
+def test_circuit_rejects_wrong_arity():
+    _rejected_on_every_backend([GateOp("h", (0, 1))], r"op 0, .*'h' takes 1 qubit")
+    _rejected_on_every_backend([GateOp("cnot", (0,))], r"op 0, .*'cnot' takes 2 qubit")
+    _rejected_on_every_backend([GateOp("measure", (0, 1), 0)], r"op 0, .*'measure' takes 1 qubit")
+
+
+def test_circuit_rejects_qubit_past_the_register():
+    _rejected_on_every_backend([GateOp("h", (2,))], r"op 0, .*'h'.*qubits must be ints in \[0, 2\)")
+    _rejected_on_every_backend([GateOp("cz", (0, 2))], r"op 0, .*'cz'.*qubits must be ints in \[0, 2\)")
+
+
+def test_circuit_rejects_unknown_kind():
+    _rejected_on_every_backend([GateOp("t", (0,))], r"op 0, .*'t'.*unknown kind")
 
 
 def test_valid_corpus_round_trips():

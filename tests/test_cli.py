@@ -119,6 +119,8 @@ def test_missing_file_exit_code(tmp_path, capsys):
         ["bench", "--sizes", "2^70", "--kernel", "pauli-mul"],
         ["bench", "--sizes", "1..2^70", "--kernel", "pauli-mul"],
         ["run", "{dir}/bell.qc", "--shots", "0"],
+        ["run", "{dir}/bell.qc", "--shots", "2000000"],
+        ["validate", "{dir}/bell.qc", "--shots", "2000000"],
         ["bench", "--sizes", "64", "--reps", "0"],
     ],
     ids=lambda argv: " ".join(argv).replace("{dir}/", ""),

@@ -12,10 +12,10 @@ from hypothesis import given, strategies as st
 
 import bladesim.tableau
 from bladesim import parse, random_clifford_circuit, run, validate
-from bladesim.backends import _shot_bits, _shot_rng
+from bladesim.backends import _shot_bits
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import circuits
-from oracles import per_shot_stabilizer
+from oracles import _shot_rng, per_shot_stabilizer
 
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
 EXACT_CHECKS = ("tableau_invariants", "stabilizer_rows_fix_oracle_state", "dense_clifford_matches_statevector")
@@ -60,7 +60,7 @@ def test_batched_draw_equals_sequential_draws():
             for draws in (0, 1, 2, 3, 7, 31, 32, 33, 63, 64, 65, 130):
                 rng = _shot_rng(seed, shot)
                 want = sum(int(rng.integers(0, 2)) << r for r in range(draws))
-                assert _shot_bits(seed, shot, draws) == want, (seed, shot, draws)
+                assert _shot_bits(_shot_rng(seed, shot), draws) == want, (seed, shot, draws)
 
 
 def test_shot_loop_does_no_tableau_work(monkeypatch):
