@@ -20,16 +20,19 @@ prepared by h is preparing with g h, so the gate prefix before the first
 measurement is evolved once and each shot starts from it.  The stabilizer
 backend walks the circuit once for all shots (`_stabilizer_shots`): every
 random outcome stays a variable, each recorded outcome is a parity of the
-shot's draws, and a shot only draws its bits.  `validate` walks the circuit
-once on shot 0's stream with all three in lockstep: the tableau draws each
-outcome and the dense backends follow it.
+shot's draws, and a shot only draws its bits.  `validate` checks a
+stabilizer `run`: it walks the circuit once with all three in lockstep, and
+at each measurement the tableau and both dense backends take the outcome
+that run recorded for shot 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -161,13 +164,27 @@ def _shot_streams(seed: int, shots: int):
     costs one PCG64 built from its words.
     """
     words_sequence = _words_sequence()
-    for words in _pcg64_words(int(seed), np.arange(shots, dtype=np.uint32)):
+    for words in _pcg64_words(seed, np.arange(shots, dtype=np.uint32)):
         yield np.random.Generator(np.random.PCG64(words_sequence(words)))
 
 
-def _check_shots(shots: int) -> None:
+def _check_args(shots: int, seed: int) -> tuple[int, int]:
+    """`shots` and `seed` as Python ints; shots must lie in [1, MAX_SHOTS] and seed be non-negative."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise ValueError(f"shots must be an integer, got {shots!r}") from None
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:
         raise BladesimError(f"shots must be at most {MAX_SHOTS} (2^20), got {shots}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return shots, seed
 
 
 def statevector_pairs(v: np.ndarray) -> list[list[float]]:
@@ -183,16 +200,12 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
 def _counts(circuit: Circuit, records: list[list[int]]) -> dict[str, int]:
     counts: dict[str, int] = {}
     slots = [op.slot for op in circuit.ops if op.is_measure]
-    keys: dict[tuple, str] = {}  # register string of each distinct record
-    for rec in records:
-        outcomes = tuple(rec)
-        key = keys.get(outcomes)
-        if key is None:
-            reg = ["0"] * circuit.creg
-            for slot, outcome in zip(slots, outcomes):
-                reg[slot] = str(outcome)
-            key = keys[outcomes] = "".join(reg)
-        counts[key] = counts.get(key, 0) + 1
+    for outcomes, count in Counter(map(tuple, records)).items():
+        reg = ["0"] * circuit.creg
+        for slot, outcome in zip(slots, outcomes):
+            reg[slot] = str(outcome)
+        key = "".join(reg)  # records that differ only in overwritten slots share it
+        counts[key] = counts.get(key, 0) + count
     return counts
 
 
@@ -317,11 +330,9 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
     The report is identical for identical (circuit, backend, shots, seed)
     except for the "timing" section.
     """
+    shots, seed = _check_args(shots, seed)
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    _check_shots(shots)
     n = circuit.n
     t0 = time.perf_counter()
     if backend == "stabilizer":
@@ -381,25 +392,27 @@ def born_distribution(circuit: Circuit) -> dict:
 
 
 def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
-    """Cross-check the three backends on one circuit.
+    """Cross-check the three backends on one circuit and on one stabilizer `run` of it.
 
-    Exact checks, on one lockstep walk: after every op the tableau invariants
-    hold and the algebra-resident state equals the state vector; before each
-    measurement and after the last op every stabilizer row fixes the state
-    vector; each outcome the tableau draws has Born probability 1 if it is
-    called deterministic, else 1/2.  A failing detail names the first op that
-    failed.  Statistical check: stabilizer outcome frequencies against the
+    Exact checks, on one lockstep walk that takes each outcome from the
+    run's shot 0: after every op the tableau invariants hold and the
+    algebra-resident state equals the state vector; before each measurement
+    and after the last op every stabilizer row fixes the state vector; each
+    recorded outcome has Born probability 1 where the tableau calls it
+    deterministic, else 1/2.  A failing detail names the first op that
+    failed.  Statistical check: the run's outcome frequencies against the
     exact Born distribution, within 0.02 at 10^4 shots, widening as four
     binomial sigmas below that.  One report entry per check.
     """
+    shots, seed = _check_args(shots, seed)
     check_cap(circuit.n, "validation")
-    _check_shots(shots)
-    stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / max(shots, 1)))
+    stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / shots))
     n = circuit.n
     ops = circuit.ops
+    records = run(circuit, "stabilizer", shots=shots, seed=seed)["records"] if circuit.measure_count else [[]]
+    shot0 = iter(records[0])
     pairs = _operator_pairs(circuit)
     t, psi, state = Tableau(n), sv.zero_state(n), IdealState.zero_state(n)
-    rng = next(_shot_streams(seed, 1))
     first: dict[str, str] = {}  # check name -> its first failure, naming the op
     rows_dev = dense_dev = 0.0
 
@@ -418,7 +431,8 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
             if op.is_measure:
                 q = op.qubits[0]
                 rows_dev = max(rows_dev, rows_fix(where))
-                outcome, deterministic = t.measure_z(q, rng)
+                outcome = next(shot0)
+                _, _, deterministic = t.measure(q, lambda: (outcome, 0))
                 p1 = sv.born_p1(psi, q, n)
                 p = p1 if outcome else 1.0 - p1
                 deviation("stabilizer_rows_fix_oracle_state", where, abs(p - (1.0 if deterministic else 0.5)))
@@ -450,8 +464,8 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     # empirical stabilizer statistics against the exact distribution (or an
     # empirical state-vector reference when there are too many measurements
     # to enumerate every branch)
-    if circuit.measure_count > 0 and shots > 0:
-        freqs = _frequencies(run(circuit, "stabilizer", shots=shots, seed=seed)["records"])
+    if circuit.measure_count:
+        freqs = _frequencies(records)
         enumerable = circuit.measure_count <= BORN_ENUMERATION_LIMIT
         if enumerable:
             dist = born_distribution(circuit)

@@ -18,14 +18,9 @@ from .dense import DenseMultivector, dense_gp, local_blade
 from .ideal import OperatorPair
 
 
-def _proj(n: int, q: int, sign: int) -> DenseMultivector:
-    # (1 + sign*e1)/2 at qubit q
-    return DenseMultivector.scalar(n, 0.5) + local_blade(n, q, 1, 0.5 * sign)
-
-
 def qubit_projector(n: int, q: int, outcome: int) -> DenseMultivector:
-    """Projector onto a measurement outcome on one qubit, (1 +- e1)/2."""
-    return _proj(n, q, +1 if outcome == 0 else -1)
+    """Projector onto a measurement outcome on one qubit: (1 + e1)/2 for 0, (1 - e1)/2 for 1."""
+    return DenseMultivector.scalar(n, 0.5) + local_blade(n, q, 1, 0.5 if outcome == 0 else -0.5)
 
 
 def gate_to_operator_pair(g: GateOp, n: int) -> OperatorPair:
@@ -46,16 +41,14 @@ def gate_to_operator_pair(g: GateOp, n: int) -> OperatorPair:
         return OperatorPair(n, zero, local_blade(n, g.qubits[0], 3, -1.0))
     if kind == "s":
         q = g.qubits[0]
-        return OperatorPair(n, _proj(n, q, +1), _proj(n, q, -1))
+        return OperatorPair(n, qubit_projector(n, q, 0), qubit_projector(n, q, 1))
     if kind == "sdg":
         q = g.qubits[0]
-        return OperatorPair(n, _proj(n, q, +1), -_proj(n, q, -1))
-    if kind == "cnot":
+        return OperatorPair(n, qubit_projector(n, q, 0), -qubit_projector(n, q, 1))
+    if kind in ("cnot", "cz"):
         c, t = g.qubits
-        return OperatorPair(n, _proj(n, c, +1) + dense_gp(_proj(n, c, -1), local_blade(n, t, 2)), zero)
-    if kind == "cz":
-        c, t = g.qubits
-        return OperatorPair(n, _proj(n, c, +1) + dense_gp(_proj(n, c, -1), local_blade(n, t, 1)), zero)
+        letter = local_blade(n, t, 2 if kind == "cnot" else 1)  # X or Z on the target
+        return OperatorPair(n, qubit_projector(n, c, 0) + dense_gp(qubit_projector(n, c, 1), letter), zero)
     if kind == "swap":
         a, b = g.qubits
         half = 0.5

@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,11 @@ from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATE
 from oracles import circuit_unitary, random_dense, set_rows
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
+CERTAIN = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")  # no random outcome
+# run on each backend, and validate: all four take (circuit, shots=, seed=)
+ENTRY_POINTS = [pytest.param(functools.partial(run, backend=b), id=b) for b in BACKENDS] + [
+    pytest.param(validate, id="validate")
+]
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
 EXACT_CHECKS = ("tableau_invariants", "stabilizer_rows_fix_oracle_state", "dense_clifford_matches_statevector")
 
@@ -132,6 +138,32 @@ def test_run_rejects_bad_arguments():
     for check in (run, validate):
         with pytest.raises(BladesimError, match="at most 1048576"):
             check(BELL, shots=MAX_SHOTS + 1)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    ("circuit", "shots", "seed", "message"),
+    [
+        pytest.param(BELL, 0, 0, "shots must be at least 1", id="zero-shots"),
+        pytest.param(CERTAIN, 2.5, 0, r"shots must be an integer, got 2\.5", id="float-shots"),
+        # CERTAIN builds no stream on stabilizer, so only the argument check can refuse it
+        pytest.param(CERTAIN, 4, -1, "seed must be non-negative, got -1", id="negative-seed"),
+        pytest.param(BELL, 4, 1.7, r"seed must be an integer, got 1\.7", id="float-seed"),
+    ],
+)
+def test_bad_shots_and_seed_are_refused(entry, circuit, shots, seed, message):
+    with pytest.raises(ValueError, match=message):
+        entry(circuit, shots=shots, seed=seed)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_numpy_integer_arguments_are_reported_as_python_ints(entry):
+    report = entry(BELL, shots=np.int64(40), seed=np.uint32(3))
+    assert type(report["shots"]) is int and type(report["seed"]) is int
+    report.pop("timing", None)
+    plain = entry(BELL, shots=40, seed=3)
+    plain.pop("timing", None)
+    assert report == plain
 
 
 def test_json_pair_helpers():
@@ -279,6 +311,25 @@ def test_validate_catches_corrupted_measurement(monkeypatch):
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "measurement_statistics" in failed
+
+
+def test_validate_walk_checks_the_records_run_returned(monkeypatch):
+    # 18 measurements take the sampled reference, which flags no impossible
+    # record; a certain outcome flipped in shot 0's record alone must fail
+    # the walk at that measurement, op 7 being measurement 5
+    circuit = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\n" + "measure 1\n" * 17)
+    assert circuit.measure_count == 18
+    original = bladesim.backends._stabilizer_shots
+
+    def corrupted(circuit, shots, seed):
+        records, lines = original(circuit, shots, seed)
+        records[0][5] ^= 1
+        return records, lines
+
+    monkeypatch.setattr(bladesim.backends, "_stabilizer_shots", corrupted)
+    report = validate(circuit, shots=1000, seed=3)
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 7 (measure 1)"), report
 
 
 def test_validate_walk_catches_flipped_deterministic_outcome(monkeypatch):

@@ -113,6 +113,7 @@ def test_missing_file_exit_code(tmp_path, capsys):
         ["run", "{dir}/huge_slot.qc"],
         ["run", "{dir}/fullwidth.qc"],
         ["run", "{dir}/bell.qc", "--seed", "-1"],
+        ["run", "{dir}/det.qc", "--seed", "-1"],
         ["bench", "--sizes", "abc"],
         ["bench", "--sizes", "8..4"],
         ["bench", "--sizes", "2^-1"],
@@ -128,6 +129,7 @@ def test_missing_file_exit_code(tmp_path, capsys):
 def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
     folder = bell_file.parent
     (folder / "bad.qc").write_text("qubits 2\nh 9\n")
+    (folder / "det.qc").write_text("qubits 1\nx 0\nmeasure 0\n")  # no random outcome
     for n in (6, 13):
         (folder / f"wide{n}.qc").write_text(f"qubits {n}\nh 0\nmeasure 0\n")
     (folder / "huge_n.qc").write_text("qubits 100000000\nh 0\nmeasure 0\n")
