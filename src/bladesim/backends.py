@@ -14,10 +14,10 @@ at once on uint32 arrays, then seeds each shot's PCG64 with its words, about
 0.1 us of hashing and 2-3 us of set-up per shot against some 20 us for a
 default_rng call.
 
-The two dense backends run through one shot loop, `_shots`, and differ only
-in a start state, a gate `step` and a `measure`.  Acting with g on a state
-prepared by h is preparing with g h, so the gate prefix before the first
-measurement is evolved once and each shot starts from it.  The stabilizer
+The dense backends and `born_distribution` share one depth-first walk over
+measurement outcomes, `_walk`, given a start state, a gate `step` and a
+`project`.  Acting with g on a state prepared by h is preparing with g h, so
+each distinct (op, outcome prefix) state is evolved once.  The stabilizer
 backend walks the circuit once for all shots (`_stabilizer_shots`): every
 random outcome stays a variable, each recorded outcome is a parity of the
 shot's draws, and a shot only draws its bits.  `validate` checks a
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import statevector as sv
 from .circuit import MAX_SHOTS, MEASURE, Circuit
-from .dense import DenseMultivector, check_cap
+from .dense import check_cap
 from .errors import BladesimError, TableauInvariantError
 from .gates import gate_to_operator_pair, qubit_projector
 from .ideal import IdealState, OperatorPair, apply, to_statevector
@@ -209,30 +209,40 @@ def _counts(circuit: Circuit, records: list[list[int]]) -> dict[str, int]:
     return counts
 
 
-def _shots(circuit: Circuit, shots: int, seed: int, state, step, measure):
-    """The shot loop of the dense backends; returns (records, last state).
+def _walk(circuit: Circuit, state, step, project, split, weight):
+    """Yield (record, weight, state) at every leaf of the tree of measurement outcomes.
 
-    `step(state, op)` and `measure(state, q, rng)` return a new state (and,
-    for `measure`, the outcome) without changing their argument.  The prefix
-    before the first measurement is evolved once, then each shot starts from
-    it with its own (seed, shot) stream.
+    `step(state, op)` is the state after a gate, `project(state, q)` is (p1, a
+    map from outcome to collapsed state), and `split(weight, p1, m)` gives
+    measurement m's (outcome, weight) branches.  The stack is explicit.
     """
-    ops = circuit.ops
-    cut = next((i for i, op in enumerate(ops) if op.is_measure), len(ops))
-    for op in ops[:cut]:
-        state = step(state, op)
-    base, records = state, []
-    for rng in _shot_streams(seed, shots):
-        state = base
-        rec = []
-        for op in ops[cut:]:
-            if op.is_measure:
-                state, outcome = measure(state, op.qubits[0], rng)
-                rec.append(outcome)
-            else:
-                state = step(state, op)
-        records.append(rec)
-    return records, state
+    ops, record = circuit.ops, []
+    stack = [(0, 0, (), state, weight)]
+    while stack:
+        i, m, tail, state, weight = stack.pop()
+        record[m:] = tail  # the parent's outcomes record[:m], then this branch's
+        while i < len(ops) and not ops[i].is_measure:
+            state = step(state, ops[i])
+            i += 1
+        if i == len(ops):
+            yield tuple(record), weight, state
+            continue
+        p1, collapse = project(state, ops[i].qubits[0])
+        for outcome, part in split(weight, p1, len(record)):
+            stack.append((i + 1, len(record), (outcome,), collapse(outcome), part))
+
+
+def _dense_backend(circuit: Circuit, backend: str) -> tuple:
+    """(start state, step, project) of a dense backend, as `_walk` takes them."""
+    n = circuit.n
+    if backend == "statevector":
+        project = lambda v, q: (sv.born_p1(v, q, n), lambda outcome: sv.collapse(v, q, n, outcome))  # noqa: E731
+        return sv.zero_state(n), lambda v, op: sv.apply_gate(v, op, n), project
+    check_cap(n, "dense-clifford backend")
+    pairs = _operator_pairs(circuit)
+    step = lambda s, op: apply(pairs[(op.kind, op.qubits)], s)  # noqa: E731
+    project = lambda s, q: _ideal_project(s, pairs[(MEASURE, (q,))])  # noqa: E731
+    return IdealState.zero_state(n), step, project
 
 
 def _shot_bits(rng, draws: int) -> int:
@@ -299,21 +309,20 @@ def _operator_pairs(circuit: Circuit) -> dict:
     return pairs
 
 
-def _ideal_collapse(state: IdealState, one: DenseMultivector, outcome: int) -> IdealState:
-    """Keep `one`, the outcome-1 part P1 psi, or psi - one; renormalize.
+def _ideal_project(state: IdealState, projector: OperatorPair) -> tuple:
+    """Measure inside the algebra: p1 = |P1 psi|^2 / |psi|^2 in coefficient norms.
 
+    The collapse keeps `one`, the outcome-1 part P1 psi, or psi - one; renormalize.
     The ideal basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
     """
-    part = one if outcome else state.psi - one
-    return IdealState(state.n, part * (1.0 / math.sqrt(2**state.n * float(part.c @ part.c))))
-
-
-def _ideal_measure(state: IdealState, project: OperatorPair, rng) -> tuple[IdealState, int]:
-    """Measure inside the algebra: p1 = |P1 psi|^2 / |psi|^2 in coefficient norms."""
-    one = apply(project, state).psi
+    one = apply(projector, state).psi
     p1 = float(one.c @ one.c) / float(state.psi.c @ state.psi.c)
-    outcome = 1 if rng.random() < p1 else 0
-    return _ideal_collapse(state, one, outcome), outcome
+
+    def collapse(outcome: int) -> IdealState:
+        part = one if outcome else state.psi - one
+        return IdealState(state.n, part * (1.0 / math.sqrt(2**state.n * float(part.c @ part.c))))
+
+    return p1, collapse
 
 
 def _frequencies(records: list[list[int]]) -> dict[tuple, float]:
@@ -333,23 +342,25 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
     shots, seed = _check_args(shots, seed)
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-    n = circuit.n
     t0 = time.perf_counter()
     if backend == "stabilizer":
         records, lines = _stabilizer_shots(circuit, shots, seed)
         final = {"stabilizers": lines}
-    elif backend == "statevector":
-        step = lambda v, op: sv.apply_gate(v, op, n)  # noqa: E731
-        measure = lambda v, q, rng: sv.measure(v, q, n, rng)  # noqa: E731
-        records, v = _shots(circuit, shots, seed, sv.zero_state(n), step, measure)
-        final = {"statevector": statevector_pairs(v)}
     else:
-        check_cap(n, "dense-clifford backend")
-        pairs = _operator_pairs(circuit)
-        step = lambda s, op: apply(pairs[(op.kind, op.qubits)], s)  # noqa: E731
-        measure = lambda s, q, rng: _ideal_measure(s, pairs[(MEASURE, (q,))], rng)  # noqa: E731
-        records, s = _shots(circuit, shots, seed, IdealState.zero_state(n), step, measure)
-        final = {"statevector": statevector_pairs(to_statevector(s))}
+        # shot s takes outcome 1 at measurement m when u[s, m], its m-th random(), is below p1
+        count = circuit.measure_count
+        u = np.array([rng.random(count) for rng in _shot_streams(seed, shots)]) if count else None
+
+        def split(idx, p1, m):
+            one = u[idx, m] < p1
+            return [(outcome, part) for outcome, part in ((0, idx[~one]), (1, idx[one])) if part.size]
+
+        rows = np.empty((shots, count), dtype=int)
+        for record, idx, state in _walk(circuit, *_dense_backend(circuit, backend), split, np.arange(shots)):
+            rows[idx] = record
+            if idx[-1] == shots - 1:  # the last shot's state is the report's
+                final = {"statevector": statevector_pairs(state if backend == "statevector" else to_statevector(state))}
+        records = rows.tolist()
     elapsed = time.perf_counter() - t0
     return {
         "backend": backend,
@@ -372,23 +383,12 @@ def born_distribution(circuit: Circuit) -> dict:
     """
     if circuit.measure_count > BORN_ENUMERATION_LIMIT:
         raise ValueError(f"cannot enumerate more than {BORN_ENUMERATION_LIMIT} measurements")
-    n = circuit.n
-    out: dict[tuple, float] = {}
-    stack = [(sv.zero_state(n), 0, 1.0, ())]
-    while stack:
-        state, i, prob, rec = stack.pop()
-        while i < len(circuit.ops) and not circuit.ops[i].is_measure:
-            state = sv.apply_gate(state, circuit.ops[i], n)
-            i += 1
-        if i == len(circuit.ops):
-            out[rec] = out.get(rec, 0.0) + prob
-            continue
-        q = circuit.ops[i].qubits[0]
-        p1 = sv.born_p1(state, q, n)
-        for outcome, p in ((0, 1.0 - p1), (1, p1)):
-            if p > BRANCH_EPS:
-                stack.append((sv.collapse(state, q, n, outcome), i + 1, prob * p, rec + (outcome,)))
-    return out
+
+    def split(prob, p1, m):
+        return [(outcome, prob * p) for outcome, p in ((0, 1.0 - p1), (1, p1)) if p > BRANCH_EPS]
+
+    walk = _walk(circuit, *_dense_backend(circuit, "statevector"), split, 1.0)
+    return {record: prob for record, prob, _ in walk}
 
 
 def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
@@ -439,7 +439,7 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
                 if p <= BRANCH_EPS:
                     break  # no branch to collapse onto
                 psi = sv.collapse(psi, q, n, outcome)
-                state = _ideal_collapse(state, apply(pairs[(op.kind, op.qubits)], state).psi, outcome)
+                state = _ideal_project(state, pairs[(op.kind, op.qubits)])[1](outcome)
             else:
                 t.apply_gate(op)
                 psi = sv.apply_gate(psi, op, n)

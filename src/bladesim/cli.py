@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "shots", 1) < 1:
-        parser.error("shots must be at least 1")
     if getattr(args, "reps", 1) < 1:
         parser.error("reps must be at least 1")
     try:

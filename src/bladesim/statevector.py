@@ -98,7 +98,8 @@ def collapse(state: np.ndarray, q: int, n: int, outcome: int) -> np.ndarray:
 def measure(state: np.ndarray, q: int, n: int, rng) -> tuple[np.ndarray, int]:
     """Sample Z on qubit q, collapse and renormalize.
 
-    Returns (new state, outcome).
+    Returns (new state, outcome).  A public single-shot helper with no caller
+    in bladesim; the benchmark's tracer patches it by name (`--trace 1`).
     """
     p1 = born_p1(state, q, n)
     outcome = 1 if rng.random() < p1 else 0

@@ -8,6 +8,9 @@ shot's stream built the slow way, by numpy's own `default_rng([seed, shot])`,
 which the vectorized seeding in `backends` must equal.  `RowTableau` is the
 row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step, and `set_rows` writes rows into a column tableau.
+`per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and
+the Born enumeration as they were before both became one walk over outcome
+prefixes: every shot evolved on its own, and a stack of state-vector branches.
 """
 
 import numpy as np
@@ -160,6 +163,60 @@ def per_shot_stabilizer(circuit, shots: int, seed: int):
                 t.apply_gate(op)
         records.append(rec)
     return records, t.stabilizer_lines()
+
+
+def per_shot_dense(circuit, backend: str, shots: int, seed: int):
+    """(records, final states) of shots 0..shots-1 on a dense backend, each shot evolved on its own.
+
+    The gates before the first measurement are evolved once; each shot then
+    walks the rest with its own (seed, shot) stream and takes outcome 1 where
+    its next scalar random() falls below p1.  Shot s's record and state do
+    not depend on the shot count, so one call covers every count up to `shots`.
+    """
+    from bladesim.backends import _dense_backend
+
+    state, step, project = _dense_backend(circuit, backend)
+    ops = circuit.ops
+    cut = next((i for i, op in enumerate(ops) if op.is_measure), len(ops))
+    for op in ops[:cut]:
+        state = step(state, op)
+    records, finals = [], []
+    for shot in range(shots):
+        s, rng, rec = state, _shot_rng(seed, shot), []
+        for op in ops[cut:]:
+            if op.is_measure:
+                p1, collapse = project(s, op.qubits[0])
+                rec.append(1 if rng.random() < p1 else 0)
+                s = collapse(rec[-1])
+            else:
+                s = step(s, op)
+        records.append(rec)
+        finals.append(s)
+    return records, finals
+
+
+def born_stack_walk(circuit) -> dict:
+    """{record: probability} by branching the state vector on a stack, outcome 0 pushed first."""
+    from bladesim import statevector as sv
+    from bladesim.backends import BRANCH_EPS
+
+    n = circuit.n
+    out: dict[tuple, float] = {}
+    stack = [(sv.zero_state(n), 0, 1.0, ())]
+    while stack:
+        state, i, prob, rec = stack.pop()
+        while i < len(circuit.ops) and not circuit.ops[i].is_measure:
+            state = sv.apply_gate(state, circuit.ops[i], n)
+            i += 1
+        if i == len(circuit.ops):
+            out[rec] = out.get(rec, 0.0) + prob
+            continue
+        q = circuit.ops[i].qubits[0]
+        p1 = sv.born_p1(state, q, n)
+        for outcome, p in ((0, 1.0 - p1), (1, p1)):
+            if p > BRANCH_EPS:
+                stack.append((sv.collapse(state, q, n, outcome), i + 1, prob * p, rec + (outcome,)))
+    return out
 
 
 def set_rows(t, rows) -> None:

@@ -23,7 +23,7 @@ from bladesim import (
     validate,
 )
 from bladesim import statevector as sv
-from bladesim.backends import BACKENDS, BRANCH_EPS, _ideal_measure, _operator_pairs
+from bladesim.backends import BACKENDS, BRANCH_EPS, _dense_backend
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from oracles import circuit_unitary, random_dense, set_rows
 
@@ -177,16 +177,6 @@ def test_json_pair_helpers():
     assert m == [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # row-major |1><1|
 
 
-class _Draw:
-    """A stand-in rng whose every draw is `u`: a measurement returns 1 exactly when p1 > u."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
 def _ideal_states(n: int, rng) -> list:
     """Generic states from random elements, then random Clifford prefixes run on
     the vacuum (stabilizer states, whose p1 is 0, 1/2 or 1) and on a generic state."""
@@ -206,19 +196,18 @@ def test_in_algebra_measurement_matches_state_vector():
     rng = np.random.default_rng(31)
     tol = 1e-12
     for n in range(1, 6):
-        pairs = _operator_pairs(Circuit(n, tuple(GateOp(MEASURE, (q,), q) for q in range(n)), n))
+        measures = Circuit(n, tuple(GateOp(MEASURE, (q,), q) for q in range(n)), n)
+        _, _, project = _dense_backend(measures, "dense-clifford")
         for state in _ideal_states(n, rng):
             amps = to_statevector(state)
             for q in range(n):
                 p = sv.born_p1(amps, q, n)
-                # a draw just below p must give 1 and one just above must
-                # give 0, so the backend's p1 lies within tol of p
-                for outcome, u in ((1, p - tol), (0, p + tol)):
+                p1, collapse = project(state, q)
+                assert abs(p1 - p) <= tol, (n, q, p1, p)
+                for outcome in (0, 1):
                     if (p if outcome else 1.0 - p) <= BRANCH_EPS:
                         continue  # no branch to collapse onto
-                    collapsed, got = _ideal_measure(state, pairs[(MEASURE, (q,))], _Draw(u))
-                    assert got == outcome, (n, q, p)
-                    dev = np.max(np.abs(to_statevector(collapsed) - sv.collapse(amps, q, n, outcome)))
+                    dev = np.max(np.abs(to_statevector(collapse(outcome)) - sv.collapse(amps, q, n, outcome)))
                     assert dev <= tol, (n, q, outcome, dev)
 
 

@@ -137,7 +137,7 @@ def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
     (folder / "fullwidth.qc").write_text("qubits \uff13\nh 0\n", encoding="utf-8")
     try:
         code = main([arg.replace("{dir}", str(folder)) for arg in argv])
-    except SystemExit as stop:  # argparse rejects --shots 0 and --reps 0 itself
+    except SystemExit as stop:  # argparse rejects --reps 0 itself
         code = stop.code
     err = capsys.readouterr().err
     assert code == 2
@@ -176,7 +176,9 @@ def test_bench_zero_reps_rejected(bell_file):
     assert e.value.code == 2
 
 
-def test_run_zero_shots_rejected(bell_file):
-    with pytest.raises(SystemExit) as e:
-        main(["run", str(bell_file), "--shots", "0"])
-    assert e.value.code == 2
+def test_run_zero_shots_rejected(bell_file, capsys):
+    # run and validate share one argument check, so the CLI prints its message and no usage
+    for command in ("run", "validate"):
+        code = main([command, str(bell_file), "--shots", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: shots must be at least 1\n"

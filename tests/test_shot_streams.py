@@ -2,7 +2,8 @@
 
 `backends._shot_streams(seed, shots)` must hand every shot the very stream
 `default_rng([seed, shot])` builds: the same PCG64 state, and so the same
-`integers(0, 2)` bits, scalar or batched, and the same `random()` floats.
+`integers(0, 2)` bits, scalar or batched, and the same `random()` floats,
+one by one or batched.
 """
 
 import numpy as np
@@ -37,6 +38,15 @@ def test_streams_equal_default_rng_at_high_shot_indices():
         for shot, words in zip(shots, _pcg64_words(seed, np.array(shots))):
             rng = np.random.Generator(np.random.PCG64(_words_sequence()(words)))
             _assert_same_stream(rng, _shot_rng(seed, shot), 130, (seed, shot))
+
+
+def test_batched_random_equals_scalar_draws():
+    # the dense backends read a shot's m-th random() from one rng.random(measure_count)
+    for seed in (0, 3, 2**64 + 3):
+        for shot in (0, 1, 499):
+            for k in range(1, 131):
+                rng = _shot_rng(seed, shot)
+                assert _shot_rng(seed, shot).random(k).tolist() == [rng.random() for _ in range(k)], (seed, shot, k)
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():
