@@ -7,12 +7,11 @@ Backends:
                       projector (1 -+ e1_q)/2; capped by the dense-oracle limit.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
-Every shot draws from its own (seed, shot) stream, the numpy Generator that
-default_rng([seed, shot]) builds, bit for bit.  `_shot_streams` is the one
-place a run builds them: it evaluates numpy's SeedSequence hash for all shots
-at once on uint32 arrays, then seeds each shot's PCG64 with its words, about
-0.1 us of hashing and 2-3 us of set-up per shot against some 20 us for a
-default_rng call.
+Every shot draws from its own (seed, shot) stream, the raw PCG64 outputs of
+default_rng([seed, shot]), bit for bit.  `_shot_words` computes them for every
+shot in one array pass, with no numpy.random object: numpy's SeedSequence hash
+on uint32 arrays, then PCG64's LCG jumped ahead to each output.  A stabilizer
+draw is the top bit of a 32-bit half word, a dense `random()` its top 53 bits.
 
 The dense backends and `born_distribution` share one depth-first walk over
 measurement outcomes, `_walk`, given a start state, a gate `step` and a
@@ -28,7 +27,6 @@ that run recorded for shot 0.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import time
@@ -42,7 +40,7 @@ from .dense import check_cap
 from .errors import BladesimError, TableauInvariantError
 from .gates import gate_to_operator_pair, qubit_projector
 from .ideal import IdealState, OperatorPair, apply, to_statevector
-from .tableau import Tableau
+from .tableau import Tableau, _indices
 
 BACKENDS = ("stabilizer", "dense-clifford", "statevector")
 
@@ -50,7 +48,6 @@ EXACT_TOL = 1e-8
 STAT_TOL = 0.02
 BORN_ENUMERATION_LIMIT = 16
 BRANCH_EPS = 1e-12  # Born branches at or below this probability are dropped
-SCALAR_DRAWS = 4  # a shot with at most this many random outcomes draws them one by one
 
 
 # numpy's SeedSequence: a pool of four 32-bit words, a hashmix whose constant
@@ -135,37 +132,50 @@ def _pcg64_words(seed: int, shots: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-@functools.cache
-def _words_sequence() -> type:
-    """The seed sequence that hands PCG64 one shot's precomputed words.
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """a * b mod 2^128 on (high, low) uint64 limbs; the low limbs' high product comes from 32-bit halves."""
+    (ah, al), (bh, bl) = a, b
+    a1, a0, b1, b0 = al >> 32, al & 0xFFFFFFFF, bl >> 32, bl & 0xFFFFFFFF
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + al * bh + ah * bl, al * bl
 
-    A BitGenerator takes its seed words from any ISeedSequence, so no
-    SeedSequence runs.  The type is made on first use, so that importing
-    bladesim does not import numpy.random.
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """a + b mod 2^128 on (high, low) uint64 limbs."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _shot_words(seed: int, shots: int, count: int) -> np.ndarray:
+    """(shots, count) uint64: row s holds the first `count` raw outputs of default_rng([seed, s]).
+
+    PCG64 (O'Neill 2014) steps a 128-bit LCG, state -> mult * state + inc,
+    and outputs each new state through XSL-RR.  numpy seeds it from
+    `_pcg64_words` with two steps from inc + initstate, so output k is that
+    sum jumped j = k + 2 steps (Brown 1994): mult^j * sum + (1 + ... +
+    mult^(j-1)) * inc, one array expression on uint64 limbs for every (shot,
+    output) cell, MAX_SHOTS cells at a time.  Nothing to draw hashes nothing.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for
-                raise TypeError("only PCG64's four uint64 seed words are precomputed")
-            return self.words
-
-    return Words
-
-
-def _shot_streams(seed: int, shots: int):
-    """Yield each shot's Generator in shot order, equal to default_rng([seed, shot]).
-
-    One vectorized hash gives every shot's PCG64 seed words; each shot then
-    costs one PCG64 built from its words.
-    """
-    words_sequence = _words_sequence()
-    for words in _pcg64_words(seed, np.arange(shots, dtype=np.uint32)):
-        yield np.random.Generator(np.random.PCG64(words_sequence(words)))
+    out = np.empty((shots, count), dtype=np.uint64)
+    if not count:
+        return out
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    a, c, jumps = mult, 1, []  # one step: a = mult, c = 1
+    for _ in range(count):
+        a, c = a * mult % 2**128, (c * mult + 1) % 2**128
+        jumps.append([a >> 64, a % 2**64, c >> 64, c % 2**64])
+    a_hi, a_lo, c_hi, c_lo = np.array(jumps, dtype=np.uint64).T
+    chunk = max(1, MAX_SHOTS // count)
+    for first in range(0, shots, chunk):
+        w0, w1, w2, w3 = _pcg64_words(seed, np.arange(first, min(first + chunk, shots))).T[..., None]
+        inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+        start = _add128(inc, (w0, w1))
+        del w0, w1, w2, w3  # free the hash's words before the wider products
+        high, low = _add128(_mul128(start, (a_hi, a_lo)), _mul128(inc, (c_hi, c_lo)))
+        value, rot = high ^ low, high >> 58
+        out[first : first + chunk] = value >> rot | value << (64 - rot & 63)
+    return out
 
 
 def _check_args(shots: int, seed: int) -> tuple[int, int]:
@@ -245,20 +255,6 @@ def _dense_backend(circuit: Circuit, backend: str) -> tuple:
     return IdealState.zero_state(n), step, project
 
 
-def _shot_bits(rng, draws: int) -> int:
-    """The stream's first `draws` integers(0, 2) draws, draw r at bit r.
-
-    Past a few draws one batched call is cheaper than scalar calls, and it
-    gives the same bits: each draw takes one 32-bit word from the stream.
-    """
-    if not draws:
-        return 0
-    if draws <= SCALAR_DRAWS:
-        return sum(int(rng.integers(0, 2)) << r for r in range(draws))
-    bits = rng.integers(0, 2, size=draws).astype(np.uint8)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[list[int]], list[str]]:
     """Records and final stabilizer lines of every shot from one tableau pass.
 
@@ -266,8 +262,8 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
     so every shot draws at the same measurements.  The pass leaves random
     outcome r as variable r and records each outcome as a (constant, mask)
     pair; a shot's outcome is the constant XOR the parity of its drawn bits
-    under the mask.  Shots that draw the same bits get equal records, each
-    its own list.  The last shot's bits give the final signs.
+    under the mask, evaluated for all shots at once, one outcome at a time.
+    The last shot's bits give the final signs.
     """
     t = Tableau(circuit.n)
     outcomes = []
@@ -279,21 +275,25 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
             draws += not deterministic
         else:
             t.apply_gate(op)
-    consts = [const for const, _ in outcomes]
-    live = [(i, mask) for i, (_, mask) in enumerate(outcomes) if mask]
-    records, seen = [], {}  # seen: the record of each distinct draw so far
-    # a circuit without random outcomes draws nothing, so it builds no streams
-    for rng in _shot_streams(seed, shots) if draws else [None] * shots:
-        bits = _shot_bits(rng, draws)
-        rec = seen.get(bits)
-        if rec is None:
-            rec = seen[bits] = list(consts)
-            for i, mask in live:
-                rec[i] ^= (mask & bits).bit_count() & 1
-            records.append(rec)
-        else:
-            records.append(list(rec))
-    return records, t.assign(bits).stabilizer_lines()
+    # draw r is integers(0, 2) on the stream's r-th 32-bit word, the low half
+    # of each output first: the word's top bit; bits[r, s] is shot s's draw r
+    words = _shot_words(seed, shots, (draws + 1) // 2).T[:, None]
+    bits = (words >> np.uint64([[31], [63]]) & 1).astype(np.uint8).reshape(-1, shots)[:draws]
+    # each draw's row as one int, bit s for shot s: an outcome's row is then
+    # its constant XOR the rows its mask selects, 64 shots to a machine word
+    size = (shots + 7) // 8
+    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    drawn = [int.from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
+    rows = []
+    for const, mask in outcomes:
+        row = ((1 << shots) - 1) * const
+        for r in _indices(mask):
+            row ^= drawn[r]
+        rows.append(row.to_bytes(size, "little"))
+    rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, size)
+    records = np.unpackbits(rows, axis=1, count=shots, bitorder="little")
+    last = int.from_bytes(np.packbits(bits[:, -1], bitorder="little").tobytes(), "little")
+    return records.T.tolist(), t.assign(last).stabilizer_lines()
 
 
 def _operator_pairs(circuit: Circuit) -> dict:
@@ -348,14 +348,13 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         final = {"stabilizers": lines}
     else:
         # shot s takes outcome 1 at measurement m when u[s, m], its m-th random(), is below p1
-        count = circuit.measure_count
-        u = np.array([rng.random(count) for rng in _shot_streams(seed, shots)]) if count else None
+        u = (_shot_words(seed, shots, circuit.measure_count) >> 11) * 2.0**-53
 
         def split(idx, p1, m):
             one = u[idx, m] < p1
             return [(outcome, part) for outcome, part in ((0, idx[~one]), (1, idx[one])) if part.size]
 
-        rows = np.empty((shots, count), dtype=int)
+        rows = np.empty(u.shape, dtype=int)
         for record, idx, state in _walk(circuit, *_dense_backend(circuit, backend), split, np.arange(shots)):
             rows[idx] = record
             if idx[-1] == shots - 1:  # the last shot's state is the report's

@@ -31,8 +31,8 @@ MEASURE = "measure"
 # a tableau holds 2n x 2n bits, stored as 2n columns of 2n bits (128 MB once
 # they fill in at 2^14 qubits), so memory, not gate time, stops the parser and
 # the tableau-gate bench at 2^14 qubits; 2^16 slots allow four measurements
-# per qubit there.  Shot seeding allocates a few words per shot up front, and
-# records take a list per shot, so a run takes at most 2^20 shots.
+# per qubit there.  A run holds every shot's draws in one array, made 2^20 cells
+# at a time, and a record list per shot, so it takes at most 2^20 shots.
 MAX_QUBITS = 1 << 14
 MAX_SLOTS = 1 << 16
 MAX_SHOTS = 1 << 20

@@ -5,7 +5,7 @@ checks do not share code with the kernels they verify.  `per_shot_stabilizer`
 is the stabilizer backend's concrete shot loop, the slow path that the
 one-pass symbolic `run` must reproduce bit for bit, and `_shot_rng` is a
 shot's stream built the slow way, by numpy's own `default_rng([seed, shot])`,
-which the vectorized seeding in `backends` must equal.  `RowTableau` is the
+which the array pass `backends._shot_words` must equal.  `RowTableau` is the
 row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step, and `set_rows` writes rows into a column tableau.
 `per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and

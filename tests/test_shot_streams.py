@@ -1,56 +1,102 @@
-"""Each shot's stream, seeded for all shots in one vectorized pass, against numpy's own.
+"""Each shot's stream, computed for all shots in one array pass, against numpy's own.
 
-`backends._shot_streams(seed, shots)` must hand every shot the very stream
-`default_rng([seed, shot])` builds: the same PCG64 state, and so the same
-`integers(0, 2)` bits, scalar or batched, and the same `random()` floats,
-one by one or batched.
+`backends._shot_words(seed, shots, count)` must give every shot the raw
+PCG64 outputs of `default_rng([seed, shot])`.  From them the stabilizer
+backend reads its `integers(0, 2)` draws (the top bit of each 32-bit half,
+low half first) and the dense backends their `random()` floats (the top 53
+bits); both must equal numpy's scalar draws.  These tests catch numpy
+changing its seeding, its PCG64 or its `integers` algorithm.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bladesim.backends import _pcg64_words, _shot_streams, _words_sequence
+import bladesim.backends
+from bladesim import parse, run
+from bladesim.backends import _pcg64_words, _shot_words
 from oracles import _shot_rng
 
 SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
-
-
-def _assert_same_stream(rng, ref, draws: int, where):
-    assert rng.bit_generator.state == ref.bit_generator.state, where
-    scalar = [int(rng.integers(0, 2)) for _ in range(draws)]
-    assert scalar == [int(ref.integers(0, 2)) for _ in range(draws)], where
-    assert np.array_equal(rng.integers(0, 2, size=draws), ref.integers(0, 2, size=draws)), where
-    assert rng.random() == ref.random(), where
-    assert rng.bit_generator.state == ref.bit_generator.state, where
+SHOTS = 301
+MAX_DRAWS = 130
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_streams_equal_default_rng_for_every_shot():
     for seed in SEEDS:
-        streams = list(_shot_streams(seed, 301))
-        assert len(streams) == 301
-        for shot, rng in enumerate(streams):
-            _assert_same_stream(rng, _shot_rng(seed, shot), 1 + shot % 130, (seed, shot))
-
-
-def test_streams_equal_default_rng_at_high_shot_indices():
-    shots = (2**31, 2**32 - 1)
-    for seed in SEEDS:
-        for shot, words in zip(shots, _pcg64_words(seed, np.array(shots))):
-            rng = np.random.Generator(np.random.PCG64(_words_sequence()(words)))
-            _assert_same_stream(rng, _shot_rng(seed, shot), 130, (seed, shot))
+        words = _shot_words(seed, SHOTS, MAX_DRAWS // 2)
+        assert words.shape == (SHOTS, MAX_DRAWS // 2) and words.dtype == np.uint64
+        for shot, row in enumerate(words):
+            rng = _shot_rng(seed, shot)
+            assert np.array_equal(row, rng.bit_generator.random_raw(MAX_DRAWS // 2)), (seed, shot)
+            draws = 1 + shot % MAX_DRAWS
+            halves = [int(row[r // 2]) >> (32 * (r % 2)) & 0xFFFFFFFF for r in range(draws)]
+            rng = _shot_rng(seed, shot)
+            assert [h >> 31 for h in halves] == [int(rng.integers(0, 2)) for _ in range(draws)], (seed, shot)
 
 
 def test_batched_random_equals_scalar_draws():
-    # the dense backends read a shot's m-th random() from one rng.random(measure_count)
-    for seed in (0, 3, 2**64 + 3):
-        for shot in (0, 1, 499):
-            for k in range(1, 131):
-                rng = _shot_rng(seed, shot)
-                assert _shot_rng(seed, shot).random(k).tolist() == [rng.random() for _ in range(k)], (seed, shot, k)
+    # the dense backends read a shot's m-th random() as the top 53 bits of its m-th output
+    for seed in SEEDS:
+        u = (_shot_words(seed, SHOTS, MAX_DRAWS) >> 11) * 2.0**-53
+        for shot, row in enumerate(u):
+            rng, k = _shot_rng(seed, shot), 1 + shot % MAX_DRAWS
+            assert row[:k].tolist() == [rng.random() for _ in range(k)], (seed, shot)
+
+
+def test_streams_equal_default_rng_at_high_shot_indices():
+    # PCG64 is seeded from these four words alone, so equal words give equal streams
+    shots = (2**31, 2**32 - 1)
+    for seed in SEEDS:
+        for shot, words in zip(shots, _pcg64_words(seed, np.array(shots))):
+            want = _shot_rng(seed, shot).bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert np.array_equal(words, want), (seed, shot)
+
+
+@pytest.mark.parametrize("limit", [1, 7, 64])
+def test_chunks_equal_the_unchunked_array(monkeypatch, limit):
+    want = {count: _shot_words(2**64 + 3, SHOTS, count) for count in (1, 3, 65)}
+    monkeypatch.setattr(bladesim.backends, "MAX_SHOTS", limit)
+    for count, words in want.items():
+        assert np.array_equal(_shot_words(2**64 + 3, SHOTS, count), words), (limit, count)
+
+
+def test_nothing_to_draw_hashes_nothing(monkeypatch):
+    def no_hash(seed, shots):
+        raise AssertionError("seed words hashed with nothing to draw")
+
+    monkeypatch.setattr(bladesim.backends, "_pcg64_words", no_hash)
+    assert _shot_words(5, 3, 0).shape == (3, 0)
+    certain = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
+    assert run(certain, "stabilizer", shots=4, seed=5)["records"] == [[1, 1]] * 4
+    unmeasured = parse("qubits 2\nh 0\ncnot 0 1\n")
+    for backend in ("dense-clifford", "statevector"):
+        assert run(unmeasured, backend, shots=4, seed=5)["records"] == [[]] * 4
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():
     with pytest.raises(ValueError, match="non-negative"):
         _shot_rng(-1, 0)
     with pytest.raises(ValueError, match="non-negative"):
-        next(_shot_streams(-1, 1))
+        _shot_words(-1, 1, 1)
+
+
+def test_runs_do_not_import_numpy_random():
+    script = (
+        "import sys\n"
+        "from bladesim import parse, run, validate\n"
+        "c = parse(open('circuits/teleport_like.qc').read())\n"
+        "for backend in ('stabilizer', 'dense-clifford', 'statevector'):\n"
+        "    run(c, backend, shots=100, seed=3)\n"
+        "assert validate(c, shots=100, seed=3)['passed']\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
