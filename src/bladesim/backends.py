@@ -22,7 +22,9 @@ random outcome stays a variable, each recorded outcome is a parity of the
 shot's draws, and a shot only draws its bits.  `validate` checks a
 stabilizer `run`: it walks the circuit once with all three in lockstep, and
 at each measurement the tableau and both dense backends take the outcome
-that run recorded for shot 0.
+that run recorded for shot 0.  It steps and measures the dense states only
+through the engines `_dense_backend` gives `_walk`, so it checks the wiring
+that `run` executes.
 """
 
 from __future__ import annotations
@@ -325,14 +327,6 @@ def _ideal_project(state: IdealState, projector: OperatorPair) -> tuple:
     return p1, collapse
 
 
-def _frequencies(records: list[list[int]]) -> dict[tuple, float]:
-    freqs: dict[tuple, float] = {}
-    for rec in records:
-        key = tuple(rec)
-        freqs[key] = freqs.get(key, 0.0) + 1.0 / len(records)
-    return freqs
-
-
 def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int = 0) -> dict:
     """Execute a circuit and return a JSON-ready report.
 
@@ -377,8 +371,10 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
 def born_distribution(circuit: Circuit) -> dict:
     """Exact outcome-record distribution by branching the state vector.
 
-    Returns {record tuple: probability}.  Cost doubles per measurement, so
-    circuits with more than BORN_ENUMERATION_LIMIT measurements are rejected.
+    Returns {record tuple: probability}.  Branches at or below BRANCH_EPS
+    are dropped, so the cost doubles per random outcome; the cap still counts
+    measurements: circuits with more than BORN_ENUMERATION_LIMIT of them are
+    rejected.
     """
     if circuit.measure_count > BORN_ENUMERATION_LIMIT:
         raise ValueError(f"cannot enumerate more than {BORN_ENUMERATION_LIMIT} measurements")
@@ -410,8 +406,9 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     ops = circuit.ops
     records = run(circuit, "stabilizer", shots=shots, seed=seed)["records"] if circuit.measure_count else [[]]
     shot0 = iter(records[0])
-    pairs = _operator_pairs(circuit)
-    t, psi, state = Tableau(n), sv.zero_state(n), IdealState.zero_state(n)
+    t = Tableau(n)
+    psi, sv_step, sv_project = _dense_backend(circuit, "statevector")
+    state, dense_step, dense_project = _dense_backend(circuit, "dense-clifford")
     first: dict[str, str] = {}  # check name -> its first failure, naming the op
     rows_dev = dense_dev = 0.0
 
@@ -432,17 +429,17 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
                 rows_dev = max(rows_dev, rows_fix(where))
                 outcome = next(shot0)
                 _, _, deterministic = t.measure(q, lambda: (outcome, 0))
-                p1 = sv.born_p1(psi, q, n)
+                p1, sv_collapse = sv_project(psi, q)
                 p = p1 if outcome else 1.0 - p1
                 deviation("stabilizer_rows_fix_oracle_state", where, abs(p - (1.0 if deterministic else 0.5)))
                 if p <= BRANCH_EPS:
                     break  # no branch to collapse onto
-                psi = sv.collapse(psi, q, n, outcome)
-                state = _ideal_project(state, pairs[(op.kind, op.qubits)])[1](outcome)
+                psi = sv_collapse(outcome)
+                state = dense_project(state, q)[1](outcome)
             else:
                 t.apply_gate(op)
-                psi = sv.apply_gate(psi, op, n)
-                state = apply(pairs[(op.kind, op.qubits)], state)
+                psi = sv_step(psi, op)
+                state = dense_step(state, op)
             t.check_invariants()
         except TableauInvariantError as err:
             first.setdefault("tableau_invariants", f"{where}: {err}")
@@ -464,19 +461,18 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     # empirical state-vector reference when there are too many measurements
     # to enumerate every branch)
     if circuit.measure_count:
-        freqs = _frequencies(records)
+        counts = Counter(map(tuple, records))
         enumerable = circuit.measure_count <= BORN_ENUMERATION_LIMIT
         if enumerable:
             dist = born_distribution(circuit)
             tol = stat_tol
-            impossible = [k for k in freqs if k not in dist]
+            impossible = [k for k in counts if k not in dist]
         else:
-            dist = _frequencies(run(circuit, "statevector", shots=shots, seed=seed)["records"])
+            sampled = Counter(map(tuple, run(circuit, "statevector", shots=shots, seed=seed)["records"]))
+            dist = {k: c / shots for k, c in sampled.items()}
             tol = stat_tol * math.sqrt(2.0)  # two sampled sides
             impossible = []
-        worst = 0.0
-        for key in set(dist) | set(freqs):
-            worst = max(worst, abs(freqs.get(key, 0.0) - dist.get(key, 0.0)))
+        worst = max(abs(counts[k] / shots - dist.get(k, 0.0)) for k in set(dist) | set(counts))
         passed = not impossible and worst <= tol
         ref_name = "exact" if enumerable else "sampled"
         detail = f"max |freq - p| = {worst:.4f} over {len(dist)} records ({ref_name} reference)"

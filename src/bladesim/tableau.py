@@ -71,6 +71,10 @@ _OCTAL_LETTERS = str.maketrans("0123", "".join(_LETTERS))  # letter code x + 2z 
 
 def _indices(mask: int):
     """The positions of the set bits of a nonnegative mask, lowest first."""
+    if not mask & (mask - 1):  # zero or one set bit: no bin() over the whole bit length
+        if mask:
+            yield mask.bit_length() - 1
+        return
     bits = bin(mask)[:1:-1]  # bit 0 first
     i = bits.find("1")
     while i >= 0:

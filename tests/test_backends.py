@@ -287,6 +287,24 @@ def test_validate_catches_corrupted_gate_rule(monkeypatch):
     assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 4 (measure 0)"), failed
 
 
+def test_validate_steps_the_engines_run_walks(monkeypatch):
+    # a statevector engine that applies sdg for s must fail the dense
+    # comparison at that op: validate steps the engines `run` walks
+    original = bladesim.backends._dense_backend
+
+    def swapped(circuit, backend):
+        state, step, project = original(circuit, backend)
+        if backend == "statevector":
+            inner = step
+            step = lambda v, op: inner(v, GateOp("sdg", op.qubits) if op.kind == "s" else op)  # noqa: E731
+        return state, step, project
+
+    monkeypatch.setattr(bladesim.backends, "_dense_backend", swapped)
+    report = validate(parse("qubits 1\nh 0\ns 0\nh 0\nmeasure 0\n"), shots=500, seed=0)
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert failed["dense_clifford_matches_statevector"].startswith("op 1 (s 0)"), report
+
+
 def test_validate_catches_corrupted_measurement(monkeypatch):
     # force every random outcome to 0 in the one CHP measurement that both
     # run and validate's walk call: Bell statistics collapse to one record

@@ -13,6 +13,7 @@ from bladesim import (
     random_clifford_circuit,
 )
 from bladesim.circuit import Circuit
+from bladesim.tableau import _indices
 from oracles import RowTableau, gate_unitary, pauli_matrix_oracle, set_rows
 
 ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
@@ -302,3 +303,10 @@ def test_gate_time_scales_gently():
     pairs = [[time_tableau_gate(n, reps=1, seed=1)[0] for n in (512, 1024)] for _ in range(30)]
     t512, t1024 = np.median(pairs, axis=0)
     assert t1024 / t512 <= 5.0, (t512, t1024)
+
+
+def test_indices_equal_a_plain_bit_scan():
+    rng = random.Random(5)
+    masks = [0] + [1 << k for k in range(21)] + [rng.getrandbits(rng.randint(2, 300)) | 3 for _ in range(50)]
+    for mask in masks:
+        assert list(_indices(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1], mask
