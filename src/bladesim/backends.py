@@ -209,16 +209,26 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [statevector_pairs(row) for row in np.asarray(m)]
 
 
-def _counts(circuit: Circuit, records: list[list[int]]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    slots = [op.slot for op in circuit.ops if op.is_measure]
-    for outcomes, count in Counter(map(tuple, records)).items():
-        reg = ["0"] * circuit.creg
-        for slot, outcome in zip(slots, outcomes):
-            reg[slot] = str(outcome)
-        key = "".join(reg)  # records that differ only in overwritten slots share it
-        counts[key] = counts.get(key, 0) + count
-    return counts
+def _counts(circuit: Circuit, records: np.ndarray) -> dict[str, int]:
+    """Shots per classical-register string, slot 0 leftmost, from the (shots, measurements) records.
+
+    A slot shows the last measurement that writes it, "0" if none does.  The
+    registers are built as byte rows, MAX_SHOTS cells at a time, and counted.
+    """
+    creg = circuit.creg
+    if not creg:
+        return {"": len(records)}
+    measures = [op for op in circuit.ops if op.is_measure]
+    last = {op.slot: m for m, op in enumerate(measures)}  # a later write replaces an earlier one
+    slots, writers = list(last), list(last.values())
+    counts = Counter()
+    chunk = max(1, MAX_SHOTS // creg)
+    for first in range(0, len(records), chunk):
+        part = records[first : first + chunk]
+        reg = np.full((len(part), creg), ord("0"), dtype=np.uint8)
+        reg[:, slots] = part[:, writers] + ord("0")
+        counts.update(reg.view(f"S{creg}").ravel().tolist())
+    return {key.decode(): count for key, count in counts.items()}
 
 
 def _walk(circuit: Circuit, state, step, project, split, weight):
@@ -257,8 +267,8 @@ def _dense_backend(circuit: Circuit, backend: str) -> tuple:
     return IdealState.zero_state(n), step, project
 
 
-def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[list[int]], list[str]]:
-    """Records and final stabilizer lines of every shot from one tableau pass.
+def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[np.ndarray, list[str]]:
+    """Records, a (shots, measurements) array, and final stabilizer lines from one tableau pass.
 
     Whether a measurement is random depends only on the tableau's x/z bits,
     so every shot draws at the same measurements.  The pass leaves random
@@ -295,7 +305,7 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[list[lis
     rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, size)
     records = np.unpackbits(rows, axis=1, count=shots, bitorder="little")
     last = int.from_bytes(np.packbits(bits[:, -1], bitorder="little").tobytes(), "little")
-    return records.T.tolist(), t.assign(last).stabilizer_lines()
+    return records.T, t.assign(last).stabilizer_lines()
 
 
 def _operator_pairs(circuit: Circuit) -> dict:
@@ -338,7 +348,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     t0 = time.perf_counter()
     if backend == "stabilizer":
-        records, lines = _stabilizer_shots(circuit, shots, seed)
+        rows, lines = _stabilizer_shots(circuit, shots, seed)
         final = {"stabilizers": lines}
     else:
         # shot s takes outcome 1 at measurement m when u[s, m], its m-th random(), is below p1
@@ -353,7 +363,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
             rows[idx] = record
             if idx[-1] == shots - 1:  # the last shot's state is the report's
                 final = {"statevector": statevector_pairs(state if backend == "statevector" else to_statevector(state))}
-        records = rows.tolist()
+    records = rows.tolist()
     elapsed = time.perf_counter() - t0
     return {
         "backend": backend,
@@ -362,7 +372,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         "shots": shots,
         "seed": seed,
         "records": records,
-        "counts": _counts(circuit, records),
+        "counts": _counts(circuit, rows),
         "final": final,
         "timing": {"total_s": elapsed, "per_shot_s": elapsed / shots},
     }

@@ -4,16 +4,20 @@
     bladesim validate circuit.qc --shots 10000 --seed 0
     bladesim bench --sizes 2^10..2^20 --reps 20 --csv timings.csv
 
-Reports are JSON with sorted keys; wall-clock numbers live under the
-"timing" key so byte comparison of reports can drop them.  Bench output is
-CSV with a header row.
+Reports are JSON with sorted keys, a two-space indent, ASCII escapes and a
+trailing newline (`report_text`); wall-clock numbers live under the "timing"
+key so byte comparison of reports can drop them.  Bench output is CSV with a
+header row.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import backends, bench
 from .circuit import MAX_QUBITS, ParseError, parse
@@ -67,10 +71,39 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def report_text(report) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, for any JSON value, without json's slow path.
+
+    With `indent` set, json encodes in pure Python.  Here a dict with str keys
+    is walked in sorted key order, and a list of lists of exact ints (a
+    report's records) is joined from the text of each distinct row, made
+    once; bools and floats are not exact ints, though 1 == True == 1.0.  Any
+    other value is json's own text with its lines moved to the value's depth:
+    json escapes newlines inside strings, so each newline it writes is indent.
+    """
+    return _encode(report, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """`value` as json.dumps indents it, where `newline` is a line break and the value's own indent."""
+    inner = newline + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        items = (inner + encode_basestring_ascii(key) + ": " + _encode(value[key], inner) for key in sorted(value))
+        return "{" + ",".join(items) + newline + "}"
+    if type(value) is list and value and set(map(type, value)) == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+        deeper = inner + "  "
+        keys = list(map(tuple, value))
+        rows = dict.fromkeys(keys)
+        for row in rows:
+            rows[row] = "[" + deeper + ("," + deeper).join(map(int.__repr__, row)) + inner + "]" if row else "[]"
+        return "[" + inner + ("," + inner).join(map(rows.__getitem__, keys)) + newline + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+
+
 def _cmd_run(args) -> int:
     circuit = _read_circuit(args.circuit)
     report = backends.run(circuit, backend=args.backend, shots=args.shots, seed=args.seed)
-    _write_text(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_text(args.out, report_text(report))
     return 0
 
 
@@ -81,7 +114,7 @@ def _cmd_validate(args) -> int:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"[{mark}] {check['name']}: {check['detail']}")
     if args.out:
-        _write_text(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_text(args.out, report_text(report))
     return 0 if report["passed"] else 1
 
 
@@ -99,6 +132,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bladesim", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,11 @@ match step by step, and `set_rows` writes rows into a column tableau.
 `per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and
 the Born enumeration as they were before both became one walk over outcome
 prefixes: every shot evolved on its own, and a stack of state-vector branches.
+`per_record_counts` is the register tally as `run` made it before it built the
+registers as byte rows: one string per distinct record, slot by slot.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -193,6 +197,19 @@ def per_shot_dense(circuit, backend: str, shots: int, seed: int):
         records.append(rec)
         finals.append(s)
     return records, finals
+
+
+def per_record_counts(circuit, records) -> dict[str, int]:
+    """{register string: shots}, one creg-long string built for each distinct record."""
+    counts: dict[str, int] = {}
+    slots = [op.slot for op in circuit.ops if op.is_measure]
+    for outcomes, count in Counter(map(tuple, records)).items():
+        reg = ["0"] * circuit.creg
+        for slot, outcome in zip(slots, outcomes):
+            reg[slot] = str(outcome)
+        key = "".join(reg)  # records that differ only in overwritten slots share it
+        counts[key] = counts.get(key, 0) + count
+    return counts
 
 
 def born_stack_walk(circuit) -> dict:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bladesim.backends
 import bladesim.tableau
@@ -25,7 +26,8 @@ from bladesim import (
 from bladesim import statevector as sv
 from bladesim.backends import BACKENDS, BRANCH_EPS, _dense_backend
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
-from oracles import circuit_unitary, random_dense, set_rows
+from corpus import circuits
+from oracles import circuit_unitary, per_record_counts, random_dense, set_rows
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 CERTAIN = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")  # no random outcome
@@ -354,3 +356,26 @@ def test_validate_walk_catches_flipped_deterministic_outcome(monkeypatch):
     failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert "measurement_statistics" in failed
     assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 3 (measure 1)"), failed
+
+
+@given(circuits(max_n=5), st.integers(0, 10_000), st.sampled_from(BACKENDS))
+def test_counts_equal_the_per_record_tally(circuit, seed, backend):
+    report = run(circuit, backend, shots=40, seed=seed)
+    assert report["counts"] == per_record_counts(circuit, report["records"])
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "qubits 1\nh 0\nmeasure 0 -> 3\nh 0\nmeasure 0 -> 3\n",  # slot 3 written twice, slots 0-2 never
+        "qubits 2\nh 0\ncnot 0 1\nmeasure 1 -> 1\nh 0\nmeasure 0 -> 1\nmeasure 0\n",
+        "qubits 2\nh 0\ncnot 0 1\n",  # no measurement: one empty register
+        "qubits 1\nh 0\nmeasure 0\nh 0\nmeasure 0 -> 65535\n",  # 2^16 slots: 16 registers at a time
+    ],
+)
+def test_counts_on_overwritten_unwritten_and_missing_slots(src):
+    circuit = parse(src)
+    for backend in BACKENDS:
+        report = run(circuit, backend, shots=40, seed=1)
+        assert report["counts"] == per_record_counts(circuit, report["records"]), backend
+        assert sum(report["counts"].values()) == 40

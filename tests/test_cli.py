@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bladesim.cli import main, parse_sizes
+from bladesim.cli import build_parser, main, parse_sizes
 from oracles import set_rows
 
 BELL_SRC = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n"
@@ -182,3 +182,21 @@ def test_run_zero_shots_rejected(bell_file, capsys):
         code = main([command, str(bell_file), "--shots", "0"])
         assert code == 2
         assert capsys.readouterr().err == "error: shots must be at least 1\n"
+
+
+def test_one_parser_serves_every_command(bell_file, tmp_path):
+    # the parser is built once per process; each call still gets its own arguments
+    out = tmp_path / "report.json"
+    assert main(["run", str(bell_file), "--backend", "statevector", "--shots", "7", "--seed", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["backend"], report["shots"], report["seed"]) == ("statevector", 7, 2)
+    assert main(["validate", str(bell_file), "--shots", "300", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["shots"], report["seed"], report["passed"]) == (300, 0, True)
+    with pytest.raises(SystemExit) as stop:
+        main(["bench", "--sizes", "64", "--reps", "0"])
+    assert stop.value.code == 2
+    assert main(["run", str(bell_file), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["backend"], report["shots"], report["seed"]) == ("stabilizer", 1, 0)
+    assert build_parser() is build_parser()

@@ -63,7 +63,7 @@ def test_batched_draw_equals_sequential_draws():
             records, _ = _stabilizer_shots(circuit, 10_000, seed)
             for shot in (0, 1, 9, 9_999):
                 rng = _shot_rng(seed, shot)
-                assert records[shot] == [int(rng.integers(0, 2)) for _ in range(draws)], (seed, shot, draws)
+                assert records[shot].tolist() == [int(rng.integers(0, 2)) for _ in range(draws)], (seed, shot, draws)
 
 
 def test_shot_loop_does_no_tableau_work(monkeypatch):
