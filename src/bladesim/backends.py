@@ -201,7 +201,8 @@ def _check_args(shots: int, seed: int) -> tuple[int, int]:
 
 def statevector_pairs(v: np.ndarray) -> list[list[float]]:
     """State vector as JSON-ready [re, im] pairs."""
-    return [[float(a.real), float(a.imag)] for a in np.asarray(v).ravel()]
+    v = np.asarray(v, dtype=complex).ravel()
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:

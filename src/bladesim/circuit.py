@@ -18,7 +18,10 @@ input and LF is emitted.  Conventional extension: ".qc".
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,8 +42,8 @@ MAX_SHOTS = 1 << 20
 
 _ARITY = {**{g: 1 for g in ONE_QUBIT_GATES}, **{g: 2 for g in TWO_QUBIT_GATES}, MEASURE: 1}
 
-_TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"[0-9]+\Z")  # ASCII only: \d and int() also take other scripts' digits
+_TOKEN = re.compile(r"\S+")  # the words str.split() finds, with their positions
+_MAX_DIGITS = sys.int_info.default_max_str_digits  # int() refuses longer words; each is past every limit
 
 
 class ParseError(BladesimError):
@@ -83,6 +86,9 @@ class Circuit:
     creg: int = 0
 
     def __post_init__(self):
+        for name, value, low, high in (("n", self.n, 1, MAX_QUBITS), ("creg", self.creg, 0, MAX_SLOTS)):
+            if not (isinstance(value, int) and low <= value <= high):
+                raise ValueError(f"{name} must be an int in [{low}, {high}], got {value!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for i, op in enumerate(self.ops):
             arity = _ARITY.get(op.kind)
@@ -103,92 +109,84 @@ class Circuit:
         return sum(1 for op in self.ops if op.is_measure)
 
 
-def _tokens(line: str):
-    body = line.split("#", 1)[0]
-    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
+def _error(lineno: int, body: str, k: int, message: str, after: bool = False) -> NoReturn:
+    """Raise a ParseError at word k of the line's `body`, or just past that word when `after`."""
+    word = next(islice(_TOKEN.finditer(body), k, None))
+    raise ParseError(lineno, (word.end() if after else word.start()) + 1, message, "" if after else word.group())
 
 
-def _int_token(lineno: int, col: int, tok: str, what: str) -> int:
-    if not _INT.match(tok):
-        raise ParseError(lineno, col, f"expected {what}, found a non-integer token", tok)
-    return int(tok)
+def _integer(lineno: int, body: str, words: list[str], k: int, what: str) -> int:
+    """Word k as an int: ASCII digits only, since int() also takes other scripts' digits."""
+    word = words[k]
+    if not (word.isascii() and word.isdigit()):
+        _error(lineno, body, k, f"expected {what}, found a non-integer token")
+    if len(word) > _MAX_DIGITS:
+        _error(lineno, body, k, f"{what} out of range")
+    return int(word)
 
 
 def parse(source: str) -> Circuit:
     """Parse circuit text; raises ParseError with the offending position."""
     n: int | None = None
-    header_line = 0
     ops: list[GateOp] = []
     next_slot = 0
 
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        toks = _tokens(raw.rstrip("\r"))
-        if not toks:
+    for lineno, line in enumerate(source.split("\n"), start=1):
+        body = line.split("#", 1)[0]
+        words = body.split()
+        if not words:
             continue
-        col0, head = toks[0]
-
+        head = words[0]
         if head == "qubits":
             if n is not None:
-                raise ParseError(lineno, col0, f"duplicate header (first on line {header_line})", head)
-            if len(toks) < 2:
-                raise ParseError(lineno, col0 + len(head), "expected qubit count after 'qubits'")
-            count = _int_token(lineno, toks[1][0], toks[1][1], "qubit count")
-            if not 1 <= count <= MAX_QUBITS:
-                raise ParseError(lineno, toks[1][0], f"qubit count must be 1..{MAX_QUBITS}", toks[1][1])
-            if len(toks) > 2:
-                raise ParseError(lineno, toks[2][0], "unexpected token after header", toks[2][1])
-            n = count
-            header_line = lineno
+                _error(lineno, body, 0, f"duplicate header (first on line {header_line})")
+            if len(words) < 2:
+                _error(lineno, body, 0, "expected qubit count after 'qubits'", after=True)
+            n, header_line = _integer(lineno, body, words, 1, "qubit count"), lineno
+            if not 1 <= n <= MAX_QUBITS:
+                _error(lineno, body, 1, f"qubit count must be 1..{MAX_QUBITS}")
+            if len(words) > 2:
+                _error(lineno, body, 2, "unexpected token after header")
             continue
 
         if n is None:
-            raise ParseError(lineno, col0, "first statement must be the 'qubits' header", head)
-
-        if head not in _ARITY:
-            raise ParseError(lineno, col0, f"unknown keyword {head!r}", head)
-
-        arity = _ARITY[head]
-        args = toks[1:]
+            _error(lineno, body, 0, "first statement must be the 'qubits' header")
+        arity = _ARITY.get(head)
+        if arity is None:
+            _error(lineno, body, 0, f"unknown keyword {head!r}")
+        if len(words) <= arity:
+            need = "expected qubit index after 'measure'" if head == MEASURE else f"'{head}' needs {arity} qubit index(es)"
+            _error(lineno, body, 0, need, after=True)
+        # a gate's extra words are refused before its qubits are read, a measurement's '->' part after
+        if head != MEASURE and len(words) > arity + 1:
+            _error(lineno, body, arity + 1, "unexpected token")
+        qubits = []
+        for k in range(1, arity + 1):
+            q = _integer(lineno, body, words, k, "qubit index")
+            if q >= n:
+                _error(lineno, body, k, f"qubit index {q} out of range for {n} qubit(s)")
+            qubits.append(q)
+        slot = None
         if head == MEASURE:
-            if not args:
-                raise ParseError(lineno, col0 + len(head), "expected qubit index after 'measure'")
-            q = _qubit(lineno, args[0], n)
-            slot, at = next_slot, toks[0]
-            rest = args[1:]
-            if rest:
-                if rest[0][1] != "->":
-                    raise ParseError(lineno, rest[0][0], "expected '->' or end of line", rest[0][1])
-                if len(rest) < 2:
-                    raise ParseError(lineno, rest[0][0] + 2, "expected classical slot after '->'")
-                slot, at = _int_token(lineno, *rest[1], "classical slot"), rest[1]
-                if len(rest) > 2:
-                    raise ParseError(lineno, rest[2][0], "unexpected token", rest[2][1])
+            slot, at = next_slot, 0
+            if len(words) > 2:
+                if words[2] != "->":
+                    _error(lineno, body, 2, "expected '->' or end of line")
+                if len(words) < 4:
+                    _error(lineno, body, 2, "expected classical slot after '->'", after=True)
+                slot, at = _integer(lineno, body, words, 3, "classical slot"), 3
+                if len(words) > 4:
+                    _error(lineno, body, 4, "unexpected token")
             if slot >= MAX_SLOTS:
-                raise ParseError(lineno, at[0], f"classical slot must be below {MAX_SLOTS}", at[1])
+                _error(lineno, body, at, f"classical slot must be below {MAX_SLOTS}")
             next_slot = max(next_slot, slot + 1)
-            ops.append(GateOp(MEASURE, (q,), slot))
-            continue
-
-        if len(args) < arity:
-            raise ParseError(lineno, col0 + len(head), f"'{head}' needs {arity} qubit index(es)")
-        if len(args) > arity:
-            raise ParseError(lineno, args[arity][0], "unexpected token", args[arity][1])
-        qubits = tuple(_qubit(lineno, a, n) for a in args)
-        if arity == 2 and qubits[0] == qubits[1]:
-            raise ParseError(lineno, args[1][0], f"'{head}' needs two distinct qubits", args[1][1])
-        ops.append(GateOp(head, qubits))
+        elif arity == 2 and qubits[0] == qubits[1]:
+            _error(lineno, body, 2, f"'{head}' needs two distinct qubits")
+        ops.append(GateOp(head, qubits, slot))
 
     if n is None:
         raise ParseError(1, 1, "missing 'qubits' header")
     return Circuit(n, tuple(ops), next_slot)
-
-
-def _qubit(lineno: int, tok: tuple[int, str], n: int) -> int:
-    col, text = tok
-    q = _int_token(lineno, col, text, "qubit index")
-    if q >= n:
-        raise ParseError(lineno, col, f"qubit index {q} out of range for {n} qubit(s)", text)
-    return q
 
 
 def serialize(c: Circuit) -> str:

@@ -77,7 +77,10 @@ def report_text(report) -> str:
     With `indent` set, json encodes in pure Python.  Here a dict with str keys
     is walked in sorted key order, and a list of lists of exact ints (a
     report's records) is joined from the text of each distinct row, made
-    once; bools and floats are not exact ints, though 1 == True == 1.0.  Any
+    once; bools and floats are not exact ints, though 1 == True == 1.0.  A
+    list of lists of numbers, bools and None (a state vector's [re, im]
+    pairs) is json's compact text, broken into lines at its brackets and
+    commas, and a value that is no list or dict is json's compact text.  Any
     other value is json's own text with its lines moved to the value's depth:
     json escapes newlines inside strings, so each newline it writes is indent.
     """
@@ -86,17 +89,26 @@ def report_text(report) -> str:
 
 def _encode(value, newline: str) -> str:
     """`value` as json.dumps indents it, where `newline` is a line break and the value's own indent."""
+    if not isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)  # no line breaks to indent, so the C encoder gives the same text
     inner = newline + "  "
     if type(value) is dict and value and set(map(type, value)) == {str}:
         items = (inner + encode_basestring_ascii(key) + ": " + _encode(value[key], inner) for key in sorted(value))
         return "{" + ",".join(items) + newline + "}"
-    if type(value) is list and value and set(map(type, value)) == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+    if type(value) is list and value and set(map(type, value)) == {list}:
         deeper = inner + "  "
-        keys = list(map(tuple, value))
-        rows = dict.fromkeys(keys)
-        for row in rows:
-            rows[row] = "[" + deeper + ("," + deeper).join(map(int.__repr__, row)) + inner + "]" if row else "[]"
-        return "[" + inner + ("," + inner).join(map(rows.__getitem__, keys)) + newline + "]"
+        kinds = set(map(type, chain.from_iterable(value)))
+        if kinds <= {int}:
+            keys = list(map(tuple, value))
+            rows = dict.fromkeys(keys)
+            for row in rows:
+                rows[row] = "[" + deeper + ("," + deeper).join(map(int.__repr__, row)) + inner + "]" if row else "[]"
+            return "[" + inner + ("," + inner).join(map(rows.__getitem__, keys)) + newline + "]"
+        if kinds <= {int, float, bool, type(None)}:
+            # compact text of numbers, literals and brackets: no quotes, so every bracket and comma is structure
+            text = json.dumps(value, separators=(",", ":"))[1:-1].replace(",", "," + deeper)
+            text = text.replace("]," + deeper + "[", "]," + inner + "[").replace("[", "[" + deeper).replace("]", inner + "]")
+            return "[" + inner + text.replace("[" + deeper + inner + "]", "[]") + newline + "]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
@@ -163,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "reps", 1) < 1:
-        parser.error("reps must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as err:

@@ -13,12 +13,18 @@ the Born enumeration as they were before both became one walk over outcome
 prefixes: every shot evolved on its own, and a stack of state-vector branches.
 `per_record_counts` is the register tally as `run` made it before it built the
 registers as byte rows: one string per distinct record, slot by slot.
+`reference_parse` is the circuit parser as it was before it read lines as
+plain words: a (column, token) pair for every word, positions threaded
+through its helpers.  Its refusals, their order and their positions are the
+ones `parse` must give.
 """
 
+import re
 from collections import Counter
 
 import numpy as np
 
+from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
 from bladesim.strings import _LETTERS, PauliString, pauli_mul
 from bladesim.tableau import _IMAGES
 
@@ -333,3 +339,95 @@ class RowTableau:
                     self.rows[i] = -self.rows[i]
                 self.vars[i] = 0
         return self
+
+
+_TOKEN = re.compile(r"\S+")
+_INT = re.compile(r"[0-9]+\Z")  # ASCII only: \d and int() also take other scripts' digits
+
+
+def _tokens(line: str):
+    body = line.split("#", 1)[0]
+    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
+
+
+def _int_token(lineno: int, col: int, tok: str, what: str) -> int:
+    if not _INT.match(tok):
+        raise ParseError(lineno, col, f"expected {what}, found a non-integer token", tok)
+    return int(tok)
+
+
+def reference_parse(source: str) -> Circuit:
+    """Parse circuit text; raises ParseError with the offending position."""
+    n: int | None = None
+    header_line = 0
+    ops: list[GateOp] = []
+    next_slot = 0
+
+    for lineno, raw in enumerate(source.split("\n"), start=1):
+        toks = _tokens(raw.rstrip("\r"))
+        if not toks:
+            continue
+        col0, head = toks[0]
+
+        if head == "qubits":
+            if n is not None:
+                raise ParseError(lineno, col0, f"duplicate header (first on line {header_line})", head)
+            if len(toks) < 2:
+                raise ParseError(lineno, col0 + len(head), "expected qubit count after 'qubits'")
+            count = _int_token(lineno, toks[1][0], toks[1][1], "qubit count")
+            if not 1 <= count <= MAX_QUBITS:
+                raise ParseError(lineno, toks[1][0], f"qubit count must be 1..{MAX_QUBITS}", toks[1][1])
+            if len(toks) > 2:
+                raise ParseError(lineno, toks[2][0], "unexpected token after header", toks[2][1])
+            n = count
+            header_line = lineno
+            continue
+
+        if n is None:
+            raise ParseError(lineno, col0, "first statement must be the 'qubits' header", head)
+
+        if head not in _ARITY:
+            raise ParseError(lineno, col0, f"unknown keyword {head!r}", head)
+
+        arity = _ARITY[head]
+        args = toks[1:]
+        if head == MEASURE:
+            if not args:
+                raise ParseError(lineno, col0 + len(head), "expected qubit index after 'measure'")
+            q = _qubit(lineno, args[0], n)
+            slot, at = next_slot, toks[0]
+            rest = args[1:]
+            if rest:
+                if rest[0][1] != "->":
+                    raise ParseError(lineno, rest[0][0], "expected '->' or end of line", rest[0][1])
+                if len(rest) < 2:
+                    raise ParseError(lineno, rest[0][0] + 2, "expected classical slot after '->'")
+                slot, at = _int_token(lineno, *rest[1], "classical slot"), rest[1]
+                if len(rest) > 2:
+                    raise ParseError(lineno, rest[2][0], "unexpected token", rest[2][1])
+            if slot >= MAX_SLOTS:
+                raise ParseError(lineno, at[0], f"classical slot must be below {MAX_SLOTS}", at[1])
+            next_slot = max(next_slot, slot + 1)
+            ops.append(GateOp(MEASURE, (q,), slot))
+            continue
+
+        if len(args) < arity:
+            raise ParseError(lineno, col0 + len(head), f"'{head}' needs {arity} qubit index(es)")
+        if len(args) > arity:
+            raise ParseError(lineno, args[arity][0], "unexpected token", args[arity][1])
+        qubits = tuple(_qubit(lineno, a, n) for a in args)
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise ParseError(lineno, args[1][0], f"'{head}' needs two distinct qubits", args[1][1])
+        ops.append(GateOp(head, qubits))
+
+    if n is None:
+        raise ParseError(1, 1, "missing 'qubits' header")
+    return Circuit(n, tuple(ops), next_slot)
+
+
+def _qubit(lineno: int, tok: tuple[int, str], n: int) -> int:
+    col, text = tok
+    q = _int_token(lineno, col, text, "qubit index")
+    if q >= n:
+        raise ParseError(lineno, col, f"qubit index {q} out of range for {n} qubit(s)", text)
+    return q

@@ -1,10 +1,25 @@
+import random
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, run, serialize
 from bladesim.backends import BACKENDS
-from bladesim.circuit import MAX_QUBITS, MAX_SLOTS, TWO_QUBIT_GATES
+from bladesim.circuit import MAX_QUBITS, MAX_SLOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import INVALID_FILES, VALID_FILES, circuits
+from oracles import reference_parse
+
+# words a mutation inserts: keywords, integers around every limit, digits
+# outside ASCII, comments, and words of 4300 digits (int()'s default limit) and
+# of one more
+MUTATION_WORDS = (
+    "qubits", MEASURE, *ONE_QUBIT_GATES, *TWO_QUBIT_GATES, "->", "-", ">", "t",
+    "0", "1", "2", "3", "05", "-1", "+1", "16384", "16385", "65535", "65536",
+    "\uff13", "\u0661", "#", "# note", "1#", "->#x",
+    "0" * 4299 + "1", "1" * 4301,
+)
+SEPARATORS = (" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2003")
 
 
 def test_parse_basic():
@@ -148,3 +163,121 @@ def test_parse_error_str_is_informative():
         assert "line 2" in text and "'x'" in text
     else:
         pytest.fail("expected ParseError")
+
+
+def _outcome(parser, source: str):
+    try:
+        return ("Circuit", parser(source))
+    except ParseError as err:
+        return ("ParseError", err.line, err.column, err.message, err.token)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def assert_parses_like_reference(source: str) -> None:
+    """Equal circuits, or equal refusals: (line, column, message, token)."""
+    got, want = _outcome(parse, source), _outcome(reference_parse, source)
+    if want[0] == "ValueError":  # the reference's int() past its digit limit
+        assert "Exceeds the limit" in want[1], source
+        assert got[0] == "ParseError" and got[3].endswith("out of range") and len(got[4]) > 4300, got[:4]
+    else:
+        assert got == want, (source, got, want)
+
+
+def _mutate(rng: random.Random, source: str) -> str:
+    """Delete, duplicate, insert or replace a few words, rejoined by assorted whitespace."""
+    lines = source.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        words = lines[i].split()
+        j = rng.randrange(len(words) + 1)
+        action = rng.choice(("delete", "duplicate", "insert", "replace"))
+        if action == "insert" or j == len(words):
+            words.insert(j, rng.choice(MUTATION_WORDS))
+        elif action == "delete":
+            del words[j]
+        elif action == "duplicate":
+            words.insert(j, words[j])
+        else:
+            words[j] = rng.choice(MUTATION_WORDS)
+        lines[i] = rng.choice(("", *SEPARATORS)) + "".join(w + rng.choice(SEPARATORS) for w in words)
+    return "\n".join(lines)
+
+
+def test_split_and_the_column_finder_see_the_same_words():
+    # parse splits lines with str.split(); a refusal finds its column with the \S+ regex
+    text = "x".join(map(chr, range(0x110000)))
+    assert text.split() == re.findall(r"\S+", text)
+
+
+def test_parse_matches_reference_on_the_corpus():
+    for source in [*VALID_FILES, *(source for source, _ in INVALID_FILES)]:
+        assert_parses_like_reference(source)
+
+
+@given(circuits(), st.integers(0, 2**32))
+def test_parse_matches_reference_on_random_circuits(c, seed):
+    assert_parses_like_reference(serialize(c))
+    assert_parses_like_reference(_mutate(random.Random(seed), serialize(c)))
+
+
+def test_parse_matches_reference_on_mutated_lines():
+    rng = random.Random(15)
+    sources = [*VALID_FILES, *(source for source, _ in INVALID_FILES)]
+    sources += [serialize(random_clifford_circuit(4, 12, seed, ONE_QUBIT_GATES + TWO_QUBIT_GATES, 0.3)) for seed in range(40)]
+    sources += [  # slots at and past the limit, explicit and implicit
+        f"qubits {MAX_QUBITS}\nmeasure 0 -> {MAX_SLOTS - 2}\nmeasure 1\nmeasure 2 -> {MAX_SLOTS - 1}\n",
+        f"qubits 2\nh 0\nmeasure 0 -> {MAX_SLOTS - 1}\nmeasure 1\n",
+        f"qubits 2\nh 0\nmeasure 1 -> {MAX_SLOTS}\n",
+    ] * 10
+    for _ in range(3000):
+        assert_parses_like_reference(_mutate(rng, rng.choice(sources)))
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("qubits " + "1" * 5000 + "\n", (1, 8, "qubit count out of range")),
+        ("qubits 2\nh 0\ncnot 1 " + "0" * 4301 + "\n", (3, 8, "qubit index out of range")),
+        ("qubits 1\nmeasure 0 -> " + "7" * 4301 + " extra\n", (2, 14, "classical slot out of range")),
+    ],
+    ids=["count", "qubit", "slot"],
+)
+def test_over_long_integers_are_positioned_parse_errors(source, where):
+    with pytest.raises(ParseError) as e:
+        parse(source)
+    assert (e.value.line, e.value.column, e.value.message) == where
+    assert len(e.value.token) > 4300
+
+
+def test_a_word_of_4300_digits_still_reads_as_its_value():
+    # 4300 digits is int()'s default limit
+    assert parse("qubits " + "0" * 4299 + "2\nh " + "0" * 4299 + "1\n") == parse("qubits 2\nh 1\n")
+
+
+@pytest.mark.parametrize(
+    "n, creg, field",
+    [
+        (0, 0, "n"),
+        (-3, 0, "n"),
+        (MAX_QUBITS + 1, 0, "n"),
+        (2.0, 0, "n"),
+        ("2", 0, "n"),
+        (None, 0, "n"),
+        (1, -1, "creg"),
+        (1, MAX_SLOTS + 1, "creg"),
+        (1, 2**40, "creg"),
+        (1, 1.0, "creg"),
+    ],
+)
+def test_circuit_refuses_n_and_creg_past_the_parser_limits(n, creg, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int in "):
+        Circuit(n, (), creg)
+
+
+def test_circuit_takes_n_and_creg_at_the_parser_limits():
+    assert Circuit(MAX_QUBITS).n == MAX_QUBITS
+    assert Circuit(1, (GateOp("measure", (0,), MAX_SLOTS - 1),), MAX_SLOTS).creg == MAX_SLOTS
+    for backend in BACKENDS:  # a zero-qubit circuit reaches no backend
+        with pytest.raises(ValueError, match="^n must be"):
+            run(Circuit(0), backend, shots=2)

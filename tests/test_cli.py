@@ -135,10 +135,7 @@ def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
     (folder / "huge_n.qc").write_text("qubits 100000000\nh 0\nmeasure 0\n")
     (folder / "huge_slot.qc").write_text("qubits 1\nh 0\nmeasure 0 -> 1000000000000\n")
     (folder / "fullwidth.qc").write_text("qubits \uff13\nh 0\n", encoding="utf-8")
-    try:
-        code = main([arg.replace("{dir}", str(folder)) for arg in argv])
-    except SystemExit as stop:  # argparse rejects --reps 0 itself
-        code = stop.code
+    code = main([arg.replace("{dir}", str(folder)) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.strip() and "Traceback" not in err
@@ -170,10 +167,9 @@ def test_bench_skips_oversized_tableau_points(capsys):
     assert "skipped" in captured.err
 
 
-def test_bench_zero_reps_rejected(bell_file):
-    with pytest.raises(SystemExit) as e:
-        main(["bench", "--sizes", "64", "--reps", "0"])
-    assert e.value.code == 2
+def test_bench_zero_reps_rejected(capsys):
+    assert main(["bench", "--sizes", "64", "--reps", "0"]) == 2
+    assert capsys.readouterr().err == "error: need at least one repetition\n"
 
 
 def test_run_zero_shots_rejected(bell_file, capsys):
@@ -184,7 +180,7 @@ def test_run_zero_shots_rejected(bell_file, capsys):
         assert capsys.readouterr().err == "error: shots must be at least 1\n"
 
 
-def test_one_parser_serves_every_command(bell_file, tmp_path):
+def test_one_parser_serves_every_command(bell_file, tmp_path, capsys):
     # the parser is built once per process; each call still gets its own arguments
     out = tmp_path / "report.json"
     assert main(["run", str(bell_file), "--backend", "statevector", "--shots", "7", "--seed", "2", "--out", str(out)]) == 0
@@ -193,10 +189,25 @@ def test_one_parser_serves_every_command(bell_file, tmp_path):
     assert main(["validate", str(bell_file), "--shots", "300", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert (report["shots"], report["seed"], report["passed"]) == (300, 0, True)
-    with pytest.raises(SystemExit) as stop:
-        main(["bench", "--sizes", "64", "--reps", "0"])
-    assert stop.value.code == 2
+    assert main(["bench", "--sizes", "64", "--reps", "0"]) == 2
+    assert capsys.readouterr().err == "error: need at least one repetition\n"
     assert main(["run", str(bell_file), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert (report["backend"], report["shots"], report["seed"]) == ("stabilizer", 1, 0)
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("qubits " + "1" * 5000 + "\nh 0\n", 1),
+        ("qubits 2\nh " + "1" * 5000 + "\n", 2),
+        ("qubits 1\nh 0\nmeasure 0 -> " + "1" * 5000 + "\n", 3),
+    ],
+    ids=["count", "qubit", "slot"],
+)
+def test_over_long_integer_exits_2_with_its_position(source, line, tmp_path, capsys):
+    path = tmp_path / "long.qc"
+    path.write_text(source)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: line {line}, column ")

@@ -126,3 +126,49 @@ def test_any_json_value(value):
 def test_random_circuit_reports(circuit, seed):
     report = run(circuit, "stabilizer", shots=30, seed=seed)
     assert report_text(report) == expected(report)
+
+
+def test_ghz12_statevector_report():
+    # 4096 [re, im] float pairs: the rows that are not all ints
+    circuit = parse("qubits 12\nh 0\n" + "".join(f"cnot {q} {q + 1}\n" for q in range(11)) + "measure 0\n")
+    report = run(circuit, "statevector", shots=1, seed=0)
+    assert len(report["final"]["statevector"]) == 4096
+    assert report_text(report) == expected(report)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[1, 2.5], [], [None, True], [-0.0, math.nan], [math.inf, -math.inf], []],
+        [[], [0.5]],
+        [[0.5], []],
+        [[None]],
+        [[False, None, 0]],
+        [[1e300, 5e-324, -1e-7, 2**70]],
+        [[0.5], (2.5,)],
+        {"final": {"statevector": [[0.7071067811865476, 0.0], [-0.0, -0.7071067811865476]]}},
+        {"rows": [[1.0]], "deep": {"rows": [[], [math.nan, None]]}},
+        (1, 2.5),
+        {"t": (1, (2, 3.5))},
+        ["a", [1.5]],
+        [[["nested"], 1.5]],
+        1.5,
+        -0.0,
+        math.inf,
+        False,
+    ],
+)
+def test_rows_of_numbers_and_literals(value):
+    assert report_text(value) == expected(value)
+
+
+number_rows = st.lists(
+    st.lists(st.integers(-3, 3) | st.booleans() | st.none() | st.floats(allow_nan=True, allow_infinity=True), max_size=3),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(number_rows | st.dictionaries(st.text(max_size=3), number_rows, max_size=3))
+def test_any_rows_of_numbers(value):
+    assert report_text(value) == expected(value)
