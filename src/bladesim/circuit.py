@@ -43,7 +43,8 @@ MAX_SHOTS = 1 << 20
 _ARITY = {**{g: 1 for g in ONE_QUBIT_GATES}, **{g: 2 for g in TWO_QUBIT_GATES}, MEASURE: 1}
 
 _TOKEN = re.compile(r"\S+")  # the words str.split() finds, with their positions
-_MAX_DIGITS = sys.int_info.default_max_str_digits  # int() refuses longer words; each is past every limit
+_MAX_DIGITS = sys.int_info.default_max_str_digits  # words longer than int()'s default limit read as out of range
+_BEYOND = 10**5  # the value of every word with more than five significant digits: past every limit (2^16)
 
 
 class ParseError(BladesimError):
@@ -116,13 +117,23 @@ def _error(lineno: int, body: str, k: int, message: str, after: bool = False) ->
 
 
 def _integer(lineno: int, body: str, words: list[str], k: int, what: str) -> int:
-    """Word k as an int: ASCII digits only, since int() also takes other scripts' digits."""
+    """Word k as an int: ASCII digits only, since int() also takes other scripts' digits.
+
+    int() sees at most five digits, so no digit limit the interpreter is run
+    with can refuse a word; a longer value reads as `_BEYOND`.
+    """
     word = words[k]
     if not (word.isascii() and word.isdigit()):
         _error(lineno, body, k, f"expected {what}, found a non-integer token")
     if len(word) > _MAX_DIGITS:
         _error(lineno, body, k, f"{what} out of range")
-    return int(word)
+    digits = _value_text(word)
+    return int(digits) if len(digits) <= 5 else _BEYOND
+
+
+def _value_text(word: str) -> str:
+    """A digit word's value as text, without int(): the word minus its leading zeros."""
+    return word.lstrip("0") or "0"
 
 
 def parse(source: str) -> Circuit:
@@ -164,7 +175,7 @@ def parse(source: str) -> Circuit:
         for k in range(1, arity + 1):
             q = _integer(lineno, body, words, k, "qubit index")
             if q >= n:
-                _error(lineno, body, k, f"qubit index {q} out of range for {n} qubit(s)")
+                _error(lineno, body, k, f"qubit index {_value_text(words[k])} out of range for {n} qubit(s)")
             qubits.append(q)
         slot = None
         if head == MEASURE:

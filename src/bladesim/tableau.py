@@ -26,9 +26,22 @@ random outcome multiplies the first anticommuting stabilizer (by row index)
 into every other anticommuting row one column at a time, counting each row's
 phase mod 4 in two bit-sliced integers, then replaces that stabilizer; a
 deterministic outcome is the sign of the ordered product of the stabilizers
-the destabilizer bits select, summed column by column, and leaves the tableau
-untouched.  `measure` is that routine, once; `measure_z` is `measure` with a
-drawn bit for each random outcome.
+the destabilizer bits select, and leaves the tableau untouched.  `measure` is
+that routine, once; `measure_z` is `measure` with a drawn bit for each random
+outcome.
+
+The tableau is symplectic, so its inverse needs no columns of its own: with
+the two halves of `xs[q]` exchanged, it selects the rows whose product is
+Z_q, and those of `zs[q]` give X_q.  Only the inverse's signs are kept, as
+in Stim (Gidney, arXiv:2103.02202): the phases `kz[q]` and `kx[q]` mod 4 of
+those two products, so that a deterministic outcome reads `kz[q]` and scans
+no column.  A gate G changes the phases of its own qubits' letters only,
+each to the phase of the backward image G^-1 L G, the forward image of the
+inverse gate: a letter's phase, or for a two-letter image both phases plus
+the sign of reordering the two row products, one popcount.  A random outcome
+updates the phases of the letters that anticommute with the pivot row inside
+its column loop.  `_product`, the column scan, stays for `expectation` and
+as the tests' reference.
 
 `rows`, `destabilizers` and `stabilizers` are read-only PauliString views,
 built by transposing the columns.
@@ -65,7 +78,19 @@ def _rule(images) -> tuple:
     return tuple((-fx, -fz, -(fx ^ fz ^ fy)) for fx, fz, fy in bits)
 
 
-_RULES = {gate: _rule(images) for gate, images in _IMAGES.items()}
+def _phase_rule(images) -> tuple:
+    """Per letter X, Z: (code c of its image, -e mod 4) for an image i^e X^(c & 1) Z^(c >> 1).
+
+    A minus sign is e = 2, and Y = i X Z adds 1.
+    """
+    codes = [_LETTERS.index(image.lstrip("-")) for image in images[:2]]
+    return tuple((c, -(2 * (image[0] == "-") + (c == 3)) % 4) for c, image in zip(codes, images))
+
+
+_INVERSE = {"s": "sdg", "sdg": "s"}  # every other single-qubit gate is its own inverse
+# per gate, the column rule read off its images and the phase rule read off its
+# backward images G^-1 L G, which are the images of the inverse gate
+_RULES = {gate: (_rule(images), _phase_rule(_IMAGES[_INVERSE.get(gate, gate)])) for gate, images in _IMAGES.items()}
 _OCTAL_LETTERS = str.maketrans("0123", "".join(_LETTERS))  # letter code x + 2z as a digit
 
 
@@ -102,9 +127,12 @@ class Tableau:
     mask of row i's sign, 0 until `measure` is given a fresh variable for a
     random outcome.  Bit i of `live` is set for every row whose mask may be
     nonzero, so that a deterministic outcome visits only those rows' masks.
+    `kz[q]` and `kx[q]` are the inverse tableau's signs: the ordered product of
+    the rows `_swap_halves(xs[q])` selects is i^kz[q] Z_q with the constant
+    signs, and that of `_swap_halves(zs[q])` is i^kx[q] X_q.
     """
 
-    __slots__ = ("n", "xs", "zs", "r", "vars", "live")
+    __slots__ = ("n", "xs", "zs", "r", "vars", "live", "kz", "kx")
 
     _GATE_METHODS = frozenset(ONE_QUBIT_GATES + TWO_QUBIT_GATES)
 
@@ -117,11 +145,23 @@ class Tableau:
         self.r = 0
         self.vars: list[int] = [0] * (2 * n)
         self.live = 0
+        self.kz: list[int] = [0] * n
+        self.kx: list[int] = [0] * n
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
         t.n, t.xs, t.zs, t.r, t.vars, t.live = self.n, list(self.xs), list(self.zs), self.r, list(self.vars), self.live
+        t.kz, t.kx = list(self.kz), list(self.kx)
         return t
+
+    def _swap_halves(self, c: int) -> int:
+        """A 2n-bit row mask with its destabilizer and stabilizer halves exchanged.
+
+        Applied to a column, it selects the rows whose product is that
+        column's letter: Z_q for `xs[q]`, X_q for `zs[q]`.
+        """
+        n = self.n
+        return ((c & ((1 << n) - 1)) << n) | (c >> n)
 
     def _rows(self, lo: int, hi: int) -> list[PauliString]:
         n = self.n
@@ -165,10 +205,18 @@ class Tableau:
 
     def _conjugate(self, rule: tuple, q: int) -> "Tableau":
         self._check(q)
+        masks, ((cx, ex), (cz, ez)) = rule
         x, z = self.xs[q], self.zs[q]
         y = x & z
-        self.xs[q], self.zs[q], flip = [(x & a) ^ (z & b) ^ (y & c) for a, b, c in rule]
+        self.xs[q], self.zs[q], flip = [(x & a) ^ (z & b) ^ (y & c) for a, b, c in masks]
         self.r ^= flip
+        # k[c]: the phase of X^(c & 1) Z^(c >> 1) as a product of rows; X Z's
+        # adds a - for each stabilizer of X's whose destabilizer is one of Z's,
+        # the pairs that anticommute when the two products merge into row order
+        k = [0, self.kx[q], self.kz[q], 0]
+        if cx == 3 or cz == 3:
+            k[3] = k[1] + k[2] + 2 * (z & (x >> self.n)).bit_count()
+        self.kx[q], self.kz[q] = (k[cx] + ex) & 3, (k[cz] + ez) & 3
         return self
 
     def h(self, q: int) -> "Tableau":
@@ -192,7 +240,9 @@ class Tableau:
     def cnot(self, c: int, t: int) -> "Tableau":
         # X_c -> X_c X_t, Z_t -> Z_c Z_t; sign flips when x_c z_t (x_t == z_c)
         self._check(c, t)
-        xs, zs = self.xs, self.zs
+        xs, zs, kx, kz, n = self.xs, self.zs, self.kx, self.kz, self.n
+        kz[t] = (kz[c] + kz[t] + 2 * (xs[c] & (xs[t] >> n)).bit_count()) & 3
+        kx[c] = (kx[c] + kx[t] + 2 * (zs[c] & (zs[t] >> n)).bit_count()) & 3
         self.r ^= xs[c] & zs[t] & ~(xs[t] ^ zs[c])
         xs[t] ^= xs[c]
         zs[c] ^= zs[t]
@@ -201,7 +251,11 @@ class Tableau:
     def cz(self, c: int, t: int) -> "Tableau":
         # X_c -> X_c Z_t, X_t -> Z_c X_t; sign flips when x_c x_t (z_c != z_t)
         self._check(c, t)
-        xs, zs = self.xs, self.zs
+        xs, zs, kx, kz, n = self.xs, self.zs, self.kx, self.kz, self.n
+        kx[c], kx[t] = (
+            (kx[c] + kz[t] + 2 * (zs[c] & (xs[t] >> n)).bit_count()) & 3,
+            (kz[c] + kx[t] + 2 * (xs[c] & (zs[t] >> n)).bit_count()) & 3,
+        )
         self.r ^= xs[c] & xs[t] & (zs[c] ^ zs[t])
         zs[c] ^= xs[t]
         zs[t] ^= xs[c]
@@ -209,8 +263,9 @@ class Tableau:
 
     def swap(self, a: int, b: int) -> "Tableau":
         self._check(a, b)
-        xs, zs = self.xs, self.zs
+        xs, zs, kx, kz = self.xs, self.zs, self.kx, self.kz
         xs[a], xs[b], zs[a], zs[b] = xs[b], xs[a], zs[b], zs[a]
+        kx[a], kx[b], kz[a], kz[b] = kx[b], kx[a], kz[b], kz[a]
         return self
 
     def apply_gate(self, op: GateOp) -> "Tableau":
@@ -253,12 +308,14 @@ class Tableau:
         The outcome is the constant bit XOR the parity of the variables the
         mask selects.  A random outcome is the (constant, mask) pair `draw()`
         returns: a drawn bit with mask 0, or a fresh variable.  It becomes the
-        sign of the new stabilizer Z_q.  A deterministic outcome is the sign
-        of the product of stabilizers selected by the destabilizer bits, and
-        leaves the tableau untouched.
+        sign of the new stabilizer Z_q; `draw` is called once, before the
+        tableau changes.  A deterministic outcome is the sign of the
+        product of stabilizers selected by the destabilizer bits: the stored
+        phase `kz[q]` for the constant, and the masks of the selected live
+        rows; it leaves the tableau untouched.
         """
         self._check(q)
-        n, xs, zs, var = self.n, self.xs, self.zs, self.vars
+        n, xs, zs, var, kx, kz = self.n, self.xs, self.zs, self.vars, self.kx, self.kz
         anti = xs[q]  # the rows that anticommute with Z_q
         stab = anti >> n
         if stab:
@@ -266,6 +323,10 @@ class Tableau:
             bp, bd = 1 << p, 1 << (p - n)
             moved = bp | bd
             keep, targets = ~moved, anti & ~moved
+            const, mask = draw()
+            # a letter that anticommutes with row p gains Z_q's old phase, the new
+            # sign, and the sign of merging its rows with Z_q's (one popcount)
+            gain = kz[q] + 2 * const
             lo = hi = 0  # bit-sliced phase of each target row's product, mod 4
             for j in range(n):
                 x, z = xs[j], zs[j]
@@ -284,9 +345,11 @@ class Tableau:
                     step = plus | minus
                     hi ^= (lo & step) ^ minus
                     lo ^= step
-                    if px:
+                    if px:  # Z_j anticommutes with row p
+                        kz[j] = (kz[j] + gain + 2 * (x & stab).bit_count()) & 3
                         x ^= targets
-                    if pz:
+                    if pz:  # so does X_j
+                        kx[j] = (kx[j] + gain + 2 * (z & stab).bit_count()) & 3
                         z ^= targets
                 # row p moves to row p - n, and row p becomes Z_q
                 xs[j] = (x & keep) | (px << (p - n))
@@ -298,20 +361,15 @@ class Tableau:
                 for i in _indices(targets):
                     var[i] ^= var_p
                 self.live |= targets | bd
-            const, mask = draw()
             self.r = (self.r ^ hi ^ (targets if sign_p else 0)) & keep | (sign_p << (p - n)) | (const << p)
             var[p - n], var[p] = var_p, mask
             if mask:
                 self.live |= bp
             return const, mask, False
-        selected = (anti & ((1 << n) - 1)) << n
-        x, z, k = self._product(selected)
-        if x != 0 or z != 1 << q:
-            raise TableauInvariantError("deterministic outcome did not reduce to a Z letter")
         mask = 0
-        for i in _indices(selected & self.live):
+        for i in _indices((anti << n) & self.live):  # the stabilizers whose product is +-Z_q
             mask ^= var[i]
-        return k >> 1, mask, True
+        return kz[q] >> 1, mask, True
 
     def measure_z(self, q: int, rng) -> tuple[int, bool]:
         """Measure Z on qubit q; returns (outcome, deterministic flag).
@@ -327,12 +385,18 @@ class Tableau:
 
     def assign(self, values: int) -> "Tableau":
         """Substitute bit r of `values` for variable r in every row sign."""
+        flipped = 0
         for i, v in enumerate(self.vars):
             if v:
                 if (v & values).bit_count() & 1:
-                    self.r ^= 1 << i
+                    flipped |= 1 << i
                 self.vars[i] = 0
+        self.r ^= flipped
         self.live = 0
+        if flipped:  # a letter's phase counts the flipped rows _swap_halves(column) selects
+            flipped = self._swap_halves(flipped)
+            self.kz = [(k + 2 * (c & flipped).bit_count()) & 3 for k, c in zip(self.kz, self.xs)]
+            self.kx = [(k + 2 * (c & flipped).bit_count()) & 3 for k, c in zip(self.kx, self.zs)]
         return self
 
     def expectation(self, p: PauliString) -> int:

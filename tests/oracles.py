@@ -8,6 +8,8 @@ shot's stream built the slow way, by numpy's own `default_rng([seed, shot])`,
 which the array pass `backends._shot_words` must equal.  `RowTableau` is the
 row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step, and `set_rows` writes rows into a column tableau.
+`product_phases` finds every letter's phase by `Tableau._product`, the
+column scan that the stored phases `kz` and `kx` replace.
 `per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and
 the Born enumeration as they were before both became one walk over outcome
 prefixes: every shot evolved on its own, and a stack of state-vector branches.
@@ -253,6 +255,12 @@ def set_rows(t, rows) -> None:
     t.xs = [sum(((row.x >> q) & 1) << i for i, row in enumerate(rows)) for q in range(t.n)]
     t.zs = [sum(((row.z >> q) & 1) << i for i, row in enumerate(rows)) for q in range(t.n)]
     t.r = sum((row.k >> 1) << i for i, row in enumerate(rows))
+    t.kz, t.kx = product_phases(t)
+
+
+def product_phases(t) -> tuple[list[int], list[int]]:
+    """Each qubit's (kz, kx): the phases of Z_q and X_q as products of the rows their columns select."""
+    return [t._product(t._swap_halves(c))[2] for c in t.xs], [t._product(t._swap_halves(c))[2] for c in t.zs]
 
 
 def _letter_change(code: int, image: str):

@@ -255,6 +255,27 @@ def test_validate_passes_on_random_circuits():
         assert set(EXACT_CHECKS) <= passed, (seed, report)
 
 
+def test_measurements_never_scan_the_columns(monkeypatch):
+    # a deterministic outcome reads its letter's stored phase; `_product`, the
+    # column scan, is left to `expectation` and to the tests as the reference.
+    # validate runs the stabilizer backend on each measured circuit.
+    def refuse(self, rows):
+        raise AssertionError("Tableau._product called")
+
+    monkeypatch.setattr(bladesim.tableau.Tableau, "_product", refuse)
+    n = 16
+    ops = [GateOp("h", (0,))] + [GateOp("cnot", (q, q + 1)) for q in range(n - 1)]
+    ghz = Circuit(n, tuple(ops + [GateOp(MEASURE, (q,), q) for q in range(n)]), n)
+    records = run(ghz, "stabilizer", shots=200, seed=4)["records"]
+    assert {tuple(rec) for rec in records} == {(0,) * n, (1,) * n}
+    rng = np.random.default_rng(77)
+    for seed in range(20):
+        n, depth = int(rng.integers(1, 6)), int(rng.integers(5, 51))
+        circuit = random_clifford_circuit(n, depth, seed=seed, gate_kinds=ALL_KINDS, measure_prob=0.25)
+        report = validate(circuit, shots=1000, seed=seed)
+        assert report["passed"], (seed, report)
+
+
 def test_validate_many_measurements_uses_sampled_reference():
     ops = "\n".join(f"h 0\nmeasure 0 -> {k}" for k in range(18))
     circuit = parse(f"qubits 1\n{ops}\n")

@@ -250,6 +250,28 @@ def test_over_long_integers_are_positioned_parse_errors(source, where):
     assert len(e.value.token) > 4300
 
 
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("qubits " + "1" * 2000 + "\n", (1, 8, f"qubit count must be 1..{MAX_QUBITS}")),
+        (
+            "qubits 2\nh 0\ncnot 1 " + "0" * 900 + "3" * 2000 + "\n",
+            (3, 8, f"qubit index {'3' * 2000} out of range for 2 qubit(s)"),
+        ),
+        ("qubits 1\nmeasure 0 -> " + "7" * 2000 + "\n", (2, 14, f"classical slot must be below {MAX_SLOTS}")),
+    ],
+    ids=["count", "qubit", "slot"],
+)
+def test_integers_past_a_lowered_digit_limit_keep_their_messages(source, where, int_digit_limit_1000):
+    # int() would refuse these words; parse reads them as it does under the default limit
+    with pytest.raises(ParseError) as e:
+        parse(source)
+    assert (e.value.line, e.value.column, e.value.message) == where
+    assert parse("qubits " + "0" * 2000 + "2\nmeasure " + "0" * 2000 + "1 -> " + "0" * 2000 + "4\n") == parse(
+        "qubits 2\nmeasure 1 -> 4\n"
+    )
+
+
 def test_a_word_of_4300_digits_still_reads_as_its_value():
     # 4300 digits is int()'s default limit
     assert parse("qubits " + "0" * 4299 + "2\nh " + "0" * 4299 + "1\n") == parse("qubits 2\nh 1\n")

@@ -211,3 +211,19 @@ def test_over_long_integer_exits_2_with_its_position(source, line, tmp_path, cap
     path.write_text(source)
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"parse error: line {line}, column ")
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("qubits " + "1" * 2000 + "\nh 0\n", 1),
+        ("qubits 2\nh " + "1" * 2000 + "\n", 2),
+        ("qubits 1\nh 0\nmeasure 0 -> " + "1" * 2000 + "\n", 3),
+    ],
+    ids=["count", "qubit", "slot"],
+)
+def test_integer_past_a_lowered_digit_limit_exits_2(source, line, tmp_path, capsys, int_digit_limit_1000):
+    path = tmp_path / "long.qc"
+    path.write_text(source)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: line {line}, column ")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -19,14 +20,22 @@ from oracles import RowTableau, gate_unitary, pauli_matrix_oracle, set_rows
 ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
 
 
+def assert_phases(t: Tableau, where) -> None:
+    """Every stored phase is the one `_product` finds for its letter, and the columns select that letter."""
+    for q in range(t.n):
+        assert t._product(t._swap_halves(t.xs[q])) == (0, 1 << q, t.kz[q]), (where, "Z", q)
+        assert t._product(t._swap_halves(t.zs[q])) == (1 << q, 0, t.kx[q]), (where, "X", q)
+
+
 def assert_lockstep(circuit, seed: int) -> None:
     """Walk the column tableau and the row engine together; every step must agree exactly.
 
     Each random outcome is a drawn constant plus a fresh variable, so signs
     and variable masks both move.  After every op all 2n rows (with signs),
     the variable masks and each measurement's (const, mask, deterministic)
-    triple must be equal; so must the rows once the variables are assigned,
-    and the stabilizer lines must equal the row engine's text.
+    triple must be equal, and every stored letter phase must be `_product`'s;
+    so must the rows and the phases once the variables are assigned, and the
+    stabilizer lines must equal the row engine's text.
     """
     n = circuit.n
     cols, rows = Tableau(n), RowTableau(n)
@@ -45,8 +54,10 @@ def assert_lockstep(circuit, seed: int) -> None:
             cols.apply_gate(op)
             rows.apply_gate(op)
         assert cols.rows == rows.rows and cols.vars == rows.vars, where
+        assert_phases(cols, where)
     values = rng.getrandbits(max(len(draws), 1))
     assert cols.assign(values).rows == rows.assign(values).rows, seed
+    assert_phases(cols, (seed, "assign"))
     assert cols.stabilizer_lines() == [("+" if r.k == 0 else "") + r.to_text() for r in rows.rows[n:]], seed
     cols.check_invariants()
 
@@ -264,8 +275,12 @@ def test_expectation_matches_statevector_oracle():
 def test_copy_is_independent():
     t = Tableau(2).h(0)
     c = t.copy()
-    c.cnot(0, 1)
+    assert (c.kz, c.kx) == (t.kz, t.kx)
+    c.cnot(0, 1).s(0)
     assert t.stabilizer_lines() != c.stabilizer_lines()
+    assert (t.kz, t.kx) == ([0, 0], [0, 0]) and c.kx != t.kx
+    assert_phases(t, "original")
+    assert_phases(c, "copy")
 
 
 def test_invariant_checker_detects_corruption():
@@ -303,6 +318,21 @@ def test_gate_time_scales_gently():
     pairs = [[time_tableau_gate(n, reps=1, seed=1)[0] for n in (512, 1024)] for _ in range(30)]
     t512, t1024 = np.median(pairs, axis=0)
     assert t1024 / t512 <= 5.0, (t512, t1024)
+
+
+def test_deterministic_measure_time_scales_gently():
+    # a deterministic outcome reads its stored phase: no scan over the n columns
+    def measure_64(n):
+        t = Tableau(n)
+        t0 = time.perf_counter()
+        for q in range(0, n, n // 64):
+            t.measure(q, None)
+        return time.perf_counter() - t0
+
+    # both sizes back to back in every rep, as in the gate test above
+    pairs = [[measure_64(n) for n in (1024, 4096)] for _ in range(30)]
+    t1024, t4096 = np.median(pairs, axis=0)
+    assert t4096 / t1024 <= 3.0, (t1024, t4096)
 
 
 def test_indices_equal_a_plain_bit_scan():
