@@ -2,9 +2,11 @@
 
 Backends:
   * "stabilizer":     tableau engine, scales to thousands of qubits.
-  * "dense-clifford": the state lives inside the algebra; gates act as
-                      operator pairs and a measurement as its outcome
-                      projector (1 -+ e1_q)/2; capped by the dense-oracle limit.
+  * "dense-clifford": the state lives in the algebra's left ideal, carried as
+                      its 2**n complex coordinates along B_b and B_b * J;
+                      a gate's blade words act on them as signed permutations
+                      and a measurement as the outcome projector
+                      (1 -+ e1_q)/2; capped where statevector is.
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
 Every shot draws from its own (seed, shot) stream, the raw PCG64 outputs of
@@ -24,7 +26,9 @@ stabilizer `run`: it walks the circuit once with all three in lockstep, and
 at each measurement the tableau and both dense backends take the outcome
 that run recorded for shot 0.  It steps and measures the dense states only
 through the engines `_dense_backend` gives `_walk`, so it checks the wiring
-that `run` executes.
+that `run` executes.  Up to the dense-oracle cap it also steps the 4**n
+element of the ideal through the operator pairs, the oracle that the
+coordinates must match.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ import numpy as np
 
 from . import statevector as sv
 from .circuit import MAX_SHOTS, MEASURE, Circuit
-from .dense import check_cap
+from .dense import ORACLE_CAP, check_cap
 from .errors import BladesimError, TableauInvariantError
-from .gates import gate_to_operator_pair, qubit_projector
-from .ideal import IdealState, OperatorPair, apply, to_statevector
+from .gates import gate_to_operator_pair, gate_words, projector_words, qubit_projector
+from .ideal import IdealState, OperatorPair, act, apply, to_statevector, word_action
 from .tableau import Tableau, _indices
 
 BACKENDS = ("stabilizer", "dense-clifford", "statevector")
@@ -255,14 +259,43 @@ def _walk(circuit: Circuit, state, step, project, split, weight):
             stack.append((i + 1, len(record), (outcome,), collapse(outcome), part))
 
 
+def _per_op(circuit: Circuit, build) -> dict:
+    """{(kind, qubits): build(op)} over the circuit's distinct ops, each built once."""
+    return {key: build(op) for key, op in {(op.kind, op.qubits): op for op in circuit.ops}.items()}
+
+
 def _dense_backend(circuit: Circuit, backend: str) -> tuple:
-    """(start state, step, project) of a dense backend, as `_walk` takes them."""
+    """(start state, step, project) of a dense backend, as `_walk` takes them.
+
+    A dense-clifford state is its ideal coordinates, starting from the
+    vacuum's, |0...0>; each distinct op's word action is built once, a
+    measurement's from the projector (1 - e1_q)/2.
+    """
     n = circuit.n
     if backend == "statevector":
         project = lambda v, q: (sv.born_p1(v, q, n), lambda outcome: sv.collapse(v, q, n, outcome))  # noqa: E731
         return sv.zero_state(n), lambda v, op: sv.apply_gate(v, op, n), project
-    check_cap(n, "dense-clifford backend")
-    pairs = _operator_pairs(circuit)
+    check_cap(n, "dense-clifford backend", sv.STATEVECTOR_CAP)
+    words = lambda op: (projector_words(n, op.qubits[0], 1), ()) if op.is_measure else gate_words(op, n)  # noqa: E731
+    actions = _per_op(circuit, lambda op: word_action(n, *words(op)))
+    step = lambda v, op: act(actions[(op.kind, op.qubits)], v)  # noqa: E731
+    project = lambda v, q: _coordinate_project(v, actions[(MEASURE, (q,))])  # noqa: E731
+    return sv.zero_state(n), step, project
+
+
+def _element_backend(circuit: Circuit) -> tuple:
+    """(start state, step, project) on 4**n-coefficient elements of the ideal, the dense oracle.
+
+    Each distinct op's operator pair is built once; a measurement's is (1 - e1_q)/2.
+    """
+    n = circuit.n
+
+    def pair(op) -> OperatorPair:
+        if op.is_measure:
+            return OperatorPair.real(qubit_projector(n, op.qubits[0], 1))
+        return gate_to_operator_pair(op, n)
+
+    pairs = _per_op(circuit, pair)
     step = lambda s, op: apply(pairs[(op.kind, op.qubits)], s)  # noqa: E731
     project = lambda s, q: _ideal_project(s, pairs[(MEASURE, (q,))])  # noqa: E731
     return IdealState.zero_state(n), step, project
@@ -309,17 +342,24 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[np.ndarr
     return records.T, t.assign(last).stabilizer_lines()
 
 
-def _operator_pairs(circuit: Circuit) -> dict:
-    """Operator pair of every distinct (kind, qubits) op, each built once; a measurement's is (1 - e1_q)/2."""
-    pairs = {}
-    for op in circuit.ops:
-        if (op.kind, op.qubits) not in pairs:
-            pairs[(op.kind, op.qubits)] = (
-                OperatorPair.real(qubit_projector(circuit.n, op.qubits[0], 1))
-                if op.is_measure
-                else gate_to_operator_pair(op, circuit.n)
-            )
-    return pairs
+def _norm2(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
+
+
+def _coordinate_project(v: np.ndarray, projector: tuple) -> tuple:
+    """Measure on ideal coordinates: p1 = |P1 v|^2 / |v|^2 in the complex norm.
+
+    `projector` is the word action of P1 = (1 - e1_q)/2.  The collapse keeps
+    `one`, P1 v, or v - one, and normalizes it.
+    """
+    one = act(projector, v)
+    p1 = _norm2(one) / _norm2(v)
+
+    def collapse(outcome: int) -> np.ndarray:
+        part = one if outcome else v - one
+        return part * (1.0 / math.sqrt(_norm2(part)))
+
+    return p1, collapse
 
 
 def _ideal_project(state: IdealState, projector: OperatorPair) -> tuple:
@@ -363,7 +403,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         for record, idx, state in _walk(circuit, *_dense_backend(circuit, backend), split, np.arange(shots)):
             rows[idx] = record
             if idx[-1] == shots - 1:  # the last shot's state is the report's
-                final = {"statevector": statevector_pairs(state if backend == "statevector" else to_statevector(state))}
+                final = {"statevector": statevector_pairs(state)}
     records = rows.tolist()
     elapsed = time.perf_counter() - t0
     return {
@@ -402,16 +442,19 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
 
     Exact checks, on one lockstep walk that takes each outcome from the
     run's shot 0: after every op the tableau invariants hold and the
-    algebra-resident state equals the state vector; before each measurement
-    and after the last op every stabilizer row fixes the state vector; each
+    algebra-resident state's coordinates equal the state vector (and, up to
+    ORACLE_CAP qubits, the 4**n element stepped by the operator pairs equals
+    the coordinates); before each measurement and after the last op every
+    stabilizer row, applied as a Pauli word, fixes the state vector; each
     recorded outcome has Born probability 1 where the tableau calls it
     deterministic, else 1/2.  A failing detail names the first op that
-    failed.  Statistical check: the run's outcome frequencies against the
-    exact Born distribution, within 0.02 at 10^4 shots, widening as four
-    binomial sigmas below that.  One report entry per check.
+    failed; a NaN deviation fails.  Statistical check: the run's outcome
+    frequencies against the exact Born distribution, within 0.02 at 10^4
+    shots, widening as four binomial sigmas below that.  One report entry
+    per check.
     """
     shots, seed = _check_args(shots, seed)
-    check_cap(circuit.n, "validation")
+    check_cap(circuit.n, "validation", sv.STATEVECTOR_CAP)
     stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / shots))
     n = circuit.n
     ops = circuit.ops
@@ -419,17 +462,18 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     shot0 = iter(records[0])
     t = Tableau(n)
     psi, sv_step, sv_project = _dense_backend(circuit, "statevector")
-    state, dense_step, dense_project = _dense_backend(circuit, "dense-clifford")
+    coords, dense_step, dense_project = _dense_backend(circuit, "dense-clifford")
+    element, element_step, element_project = _element_backend(circuit) if n <= ORACLE_CAP else (None,) * 3
     first: dict[str, str] = {}  # check name -> its first failure, naming the op
     rows_dev = dense_dev = 0.0
 
     def deviation(name: str, where: str, dev: float) -> float:
-        if dev > EXACT_TOL:
+        if not dev <= EXACT_TOL:
             first.setdefault(name, f"{where}: deviation {dev:.3e}")
         return dev
 
     def rows_fix(where: str) -> float:
-        dev = max(float(np.max(np.abs(sv.pauli_matrix(row) @ psi - psi))) for row in t.stabilizers)
+        dev = float(np.max([np.max(np.abs(sv.apply_pauli(psi, row) - psi)) for row in t.stabilizers]))
         return deviation("stabilizer_rows_fix_oracle_state", where, dev)
 
     for i, op in enumerate(ops):
@@ -446,17 +490,23 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
                 if p <= BRANCH_EPS:
                     break  # no branch to collapse onto
                 psi = sv_collapse(outcome)
-                state = dense_project(state, q)[1](outcome)
+                coords = dense_project(coords, q)[1](outcome)
+                if element is not None:
+                    element = element_project(element, q)[1](outcome)
             else:
                 t.apply_gate(op)
                 psi = sv_step(psi, op)
-                state = dense_step(state, op)
+                coords = dense_step(coords, op)
+                if element is not None:
+                    element = element_step(element, op)
             t.check_invariants()
         except TableauInvariantError as err:
             first.setdefault("tableau_invariants", f"{where}: {err}")
             break
-        dev = float(np.max(np.abs(to_statevector(state) - psi)))
-        dense_dev = max(dense_dev, deviation("dense_clifford_matches_statevector", where, dev))
+        devs = [np.max(np.abs(coords - psi))]
+        if element is not None:
+            devs.append(np.max(np.abs(to_statevector(element) - coords)))
+        dense_dev = max(dense_dev, deviation("dense_clifford_matches_statevector", where, float(np.max(devs))))
     else:
         if ops:
             rows_dev = max(rows_dev, rows_fix(where))

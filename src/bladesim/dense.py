@@ -24,9 +24,9 @@ from .strings import BladeString
 ORACLE_CAP = 5
 
 
-def check_cap(n: int, what: str = "dense oracle") -> None:
-    if n > ORACLE_CAP:
-        raise CapacityError(f"{what} supports at most {ORACLE_CAP} qubits, got {n}")
+def check_cap(n: int, what: str = "dense oracle", cap: int = ORACLE_CAP) -> None:
+    if n > cap:
+        raise CapacityError(f"{what} supports at most {cap} qubits, got {n}")
 
 
 @lru_cache(maxsize=None)

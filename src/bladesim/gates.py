@@ -1,4 +1,9 @@
-"""Clifford gates as elements of the algebra.
+"""Clifford gates as elements of the algebra, each written once as signed blade words.
+
+A gate is the operator pair a*psi + (b*psi)*J, and a and b are short sums of
+signed blade words.  A word (coef, e1, e2) is coef times the product of e1 at
+every qubit of the e1 mask and e2 at every qubit of the e2 mask, the e1
+factors first; masks are in statevector bit order, qubit q at bit n-1-q.
 
 Most gates are plain left multiplications by a real element: H is
 (e1 + e2)/sqrt(2), X is e2, Z is e1, the controlled gates combine projectors
@@ -6,55 +11,85 @@ Most gates are plain left multiplications by a real element: H is
 no real left-multiplication form; it splits into the pair
 (projector onto 0, projector onto 1) with the second part acting through the
 complex unit.
+
+The same words give both carriers: `gate_to_operator_pair` sums them into
+4**n-coefficient elements (the dense oracle), and `ideal.word_action` turns
+them into signed permutations of a state's 2**n ideal coordinates (the
+dense-clifford backend).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import dense as _dense
 from .circuit import GateOp
-from .dense import DenseMultivector, dense_gp, local_blade
+# `dense_gp` stays a module global, unused here: perfbench/tracing.py patches it by name
+from .dense import DenseMultivector, dense_gp  # noqa: F401
 from .ideal import OperatorPair
+
+
+def projector_words(n: int, q: int, outcome: int) -> tuple:
+    """Projector onto a measurement outcome on qubit q: (1 + e1)/2 for 0, (1 - e1)/2 for 1."""
+    return (0.5, 0, 0), (0.5 if outcome == 0 else -0.5, 1 << (n - 1 - q), 0)
+
+
+def gate_words(g: GateOp, n: int) -> tuple[tuple, tuple]:
+    """(a words, b words) of the gate's operator pair a*psi + (b*psi)*J."""
+    kind = g.kind
+    bits = [1 << (n - 1 - q) for q in g.qubits]
+    if kind == "h":
+        s = 1.0 / math.sqrt(2.0)
+        return ((s, bits[0], 0), (s, 0, bits[0])), ()
+    if kind == "x":
+        return ((1.0, 0, bits[0]),), ()
+    if kind == "z":
+        return ((1.0, bits[0], 0),), ()
+    if kind == "y":
+        # Y = i * (Z X): a pure right-unit action on the blade e1*e2 = -e12
+        return (), ((-1.0, bits[0], bits[0]),)
+    if kind in ("s", "sdg"):
+        q = g.qubits[0]
+        unit = 1.0 if kind == "s" else -1.0
+        return projector_words(n, q, 0), tuple((unit * c, e1, e2) for c, e1, e2 in projector_words(n, q, 1))
+    if kind in ("cnot", "cz"):
+        c, t = bits
+        e1, e2 = (0, t) if kind == "cnot" else (t, 0)  # X or Z on the target
+        # (1 + e1_c)/2 + (1 - e1_c)/2 * letter_t
+        return ((0.5, 0, 0), (0.5, c, 0), (0.5, e1, e2), (-0.5, c | e1, e2)), ()
+    if kind == "swap":
+        ab = bits[0] | bits[1]
+        # (1 + e1_a e1_b + e2_a e2_b - e12_a e12_b)/2; blades on different qubits commute
+        return ((0.5, 0, 0), (0.5, ab, 0), (0.5, 0, ab), (-0.5, ab, ab)), ()
+    raise ValueError(f"no operator form for gate kind {kind!r}")
+
+
+def _dense_bits(n: int, mask: int, code: int) -> int:
+    """Dense index bits of blade `code` (1 = e1, 2 = e2) at every qubit of a statevector-order mask."""
+    return sum(code << (2 * q) for q in range(n) if (mask >> (n - 1 - q)) & 1)
+
+
+def word_element(n: int, words) -> DenseMultivector:
+    """The dense element sum of coef * E1 * E2 over the words, E1 and E2 the blades of their masks.
+
+    With every e1 factor left of every e2 factor no (e2 left, e1 right) pair
+    collides, so E1 * E2 is the basis blade of the two masks' index bits, sign +.
+    """
+    c = np.zeros(4**n)
+    for coef, e1, e2 in words:
+        c[_dense_bits(n, e1, 1) | _dense_bits(n, e2, 2)] += coef
+    return DenseMultivector(n, c)
 
 
 def qubit_projector(n: int, q: int, outcome: int) -> DenseMultivector:
     """Projector onto a measurement outcome on one qubit: (1 + e1)/2 for 0, (1 - e1)/2 for 1."""
-    return DenseMultivector.scalar(n, 0.5) + local_blade(n, q, 1, 0.5 if outcome == 0 else -0.5)
+    return word_element(n, projector_words(n, q, outcome))
 
 
 def gate_to_operator_pair(g: GateOp, n: int) -> OperatorPair:
     """Dense operator pair whose action matches the gate's unitary."""
     _dense.check_cap(n, "gate operator")
-    kind = g.kind
-    zero = DenseMultivector.zero(n)
-    if kind == "h":
-        q = g.qubits[0]
-        s = 1.0 / math.sqrt(2.0)
-        return OperatorPair(n, local_blade(n, q, 1, s) + local_blade(n, q, 2, s), zero)
-    if kind == "x":
-        return OperatorPair(n, local_blade(n, g.qubits[0], 2), zero)
-    if kind == "z":
-        return OperatorPair(n, local_blade(n, g.qubits[0], 1), zero)
-    if kind == "y":
-        # Y = i * (Z X): a pure right-unit action on the blade e1*e2 = -e12
-        return OperatorPair(n, zero, local_blade(n, g.qubits[0], 3, -1.0))
-    if kind == "s":
-        q = g.qubits[0]
-        return OperatorPair(n, qubit_projector(n, q, 0), qubit_projector(n, q, 1))
-    if kind == "sdg":
-        q = g.qubits[0]
-        return OperatorPair(n, qubit_projector(n, q, 0), -qubit_projector(n, q, 1))
-    if kind in ("cnot", "cz"):
-        c, t = g.qubits
-        letter = local_blade(n, t, 2 if kind == "cnot" else 1)  # X or Z on the target
-        return OperatorPair(n, qubit_projector(n, c, 0) + dense_gp(qubit_projector(n, c, 1), letter), zero)
-    if kind == "swap":
-        a, b = g.qubits
-        half = 0.5
-        el = DenseMultivector.scalar(n, half)
-        el = el + DenseMultivector.basis_blade(n, (1 << (2 * a)) | (1 << (2 * b)), half)
-        el = el + DenseMultivector.basis_blade(n, (2 << (2 * a)) | (2 << (2 * b)), half)
-        el = el - DenseMultivector.basis_blade(n, (3 << (2 * a)) | (3 << (2 * b)), half)
-        return OperatorPair(n, el, zero)
-    raise ValueError(f"no operator form for gate kind {kind!r}")
+    a, b = gate_words(g, n)
+    return OperatorPair(n, word_element(n, a), word_element(n, b))

@@ -21,8 +21,17 @@ then acting with another is the same as acting first and preparing once:
 left actions and state preparation commute through the product.
 
 Nothing here is normalized: preparing with g yields a state whose norm
-depends on g.  The basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2,
-and the dense backend measures with (1 -+ e1_q)/2 in coefficient norms.
+depends on g.  The basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
+
+A state's coordinates along B_b and B_b * J are one complex 2**n array,
+which is the state vector.  On coordinates a blade word, the product of e1 at
+the qubits of one mask and e2 at those of another (statevector bit order),
+is a signed permutation: e2 flips the bits of its mask and e1 then reads its
+own, so out[b] = (-1)^|e1 & b| * v[b ^ e2].  Blades on different qubits
+commute (the product is the ungraded tensor product), which is what lets a
+word act mask-wide.  Right multiplication by J multiplies the coordinates by
+i.  `word_action` and `act` are the dense-clifford backend's engine; the
+4**n elements stay as the oracle that checks it.
 """
 
 from __future__ import annotations
@@ -222,3 +231,33 @@ def conjugate_evolution_check(
     rhs = density_from_generator(dense_gp(a, x), normalize=False)
     dev = float(np.max(np.abs(lhs - rhs)))
     return dev <= tol, dev
+
+
+def word_action(n: int, a, b=()) -> tuple:
+    """The operator a*psi + (b*psi)*J on ideal coordinates, a and b as signed blade words.
+
+    Each word (coef, e1, e2) is the signed permutation coef * (-1)^|e1 & b| *
+    v[b ^ e2]; the b words are also multiplied by i.  Words that share an e2
+    mask share one gather index and add into one complex diagonal, so the
+    action is (gather, diagonal) pairs, one per distinct e2 mask in increasing
+    order, the gather None for the mask 0.  The signs of all words are one
+    array expression.
+    """
+    coefs, e1s, e2s = zip(*a, *((1j * coef, e1, e2) for coef, e1, e2 in b))
+    idx = np.arange(2**n)
+    parity = np.bitwise_count(idx & np.array(e1s)[:, None]) & 1
+    terms = np.array(coefs, dtype=complex)[:, None] * (1 - 2 * parity.astype(np.int64))
+    masks = sorted(set(e2s))
+    diagonals = np.zeros((len(masks), 2**n), dtype=complex)
+    for e2, term in zip(e2s, terms):
+        diagonals[masks.index(e2)] += term
+    return tuple((idx ^ e2 if e2 else None, d) for e2, d in zip(masks, diagonals))
+
+
+def act(action: tuple, v: np.ndarray) -> np.ndarray:
+    """Apply a `word_action` to coordinates: the sum of diagonal * v[gather] over its pairs."""
+    out = None
+    for gather, diagonal in action:
+        term = diagonal * (v if gather is None else v[gather])
+        out = term if out is None else out + term
+    return out

@@ -25,6 +25,8 @@ GATES_1Q = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+_PHASES = (1.0 + 0j, 1j, -1.0 + 0j, -1j)  # i**k
+
 _LETTER_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": GATES_1Q["x"],
@@ -104,6 +106,22 @@ def measure(state: np.ndarray, q: int, n: int, rng) -> tuple[np.ndarray, int]:
     p1 = born_p1(state, q, n)
     outcome = 1 if rng.random() < p1 else 0
     return collapse(state, q, n, outcome), outcome
+
+
+def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
+    """A Pauli string applied to a state without its matrix.
+
+    With x and z in statevector bit order, P|b> = i^(k + |x & z|)
+    (-1)^|z & b| |b ^ x|: Z^z reads the bits, X^x flips them, and each Y
+    letter is i X Z.
+    """
+    n = p.n
+    x, z = (int(format(mask, f"0{n}b")[::-1], 2) for mask in (p.x, p.z))  # qubit 0 to the top bit
+    idx = np.arange(2**n)
+    sign = 1 - 2 * (np.bitwise_count(idx & z) & 1).astype(np.int64)
+    out = np.empty(2**n, dtype=complex)
+    out[idx ^ x] = _PHASES[(p.k + (p.x & p.z).bit_count()) % 4] * sign * state
+    return out
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:

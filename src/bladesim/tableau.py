@@ -49,6 +49,8 @@ built by transposing the columns.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, GateOp
 from .errors import DimensionMismatchError, TableauInvariantError
 
@@ -91,7 +93,12 @@ _INVERSE = {"s": "sdg", "sdg": "s"}  # every other single-qubit gate is its own 
 # per gate, the column rule read off its images and the phase rule read off its
 # backward images G^-1 L G, which are the images of the inverse gate
 _RULES = {gate: (_rule(images), _phase_rule(_IMAGES[_INVERSE.get(gate, gate)])) for gate, images in _IMAGES.items()}
-_OCTAL_LETTERS = str.maketrans("0123", "".join(_LETTERS))  # letter code x + 2z as a digit
+_SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
+# entry a: the eight bits of byte a, bit k in byte k of one 8-byte word
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view("<u8").ravel()
+# a letter's byte from its x and z bits is I + 15x + 17z - 16xz (I, X, Z, Y
+# are 73, 88, 90, 89); no byte leaves 0..255, so a word computes eight at once
+_EIGHT_I = np.uint64(int.from_bytes(b"I" * 8, "little"))
 
 
 def _indices(mask: int):
@@ -184,14 +191,25 @@ class Tableau:
         return self._rows(self.n, 2 * self.n)
 
     def stabilizer_lines(self) -> list[str]:
-        """One row per line with explicit sign, e.g. '+XX'."""
+        """One row per line with explicit sign, e.g. '+XX'.
+
+        The stabilizer halves of the columns, and of the signs, become one
+        byte matrix with a row per byte index: byte j of a column holds
+        stabilizers 8j..8j+7.  A column's x byte and z byte give those eight
+        rows' letters at once, as the bytes of one word, and a transpose puts
+        them in row order.  The text is decoded once and cut into lines.
+        """
         n = self.n
-        # read as octal, a column's x and z bit strings add up to one digit x + 2z per row
-        letters = [
-            format(int(x, 8) + 2 * int(z, 8), f"0{n}o").translate(_OCTAL_LETTERS)
-            for x, z in zip(_column_bits(self.xs, n, 2 * n), _column_bits(self.zs, n, 2 * n))
-        ]
-        return [("-" if (self.r >> i) & 1 else "+") + row for i, row in zip(range(n, 2 * n), _transpose(letters))]
+        size = (n + 7) // 8
+        data = b"".join((c >> n).to_bytes(size, "little") for c in (*self.xs, *self.zs, self.r))
+        cols = np.ascontiguousarray(np.frombuffer(data, dtype=np.uint8).reshape(-1, size).T)
+        x, z = _BITS[cols[:, :n]], _BITS[cols[:, n : 2 * n]]
+        letters = _EIGHT_I + np.uint64(15) * x + np.uint64(17) * z - np.uint64(16) * (x & z)
+        lines = np.empty((n, n + 1), dtype=np.uint8)
+        lines[:, 0] = _SIGN_BYTES[np.unpackbits(cols[:, 2 * n], count=n, bitorder="little")]
+        lines[:, 1:] = letters.view(np.uint8).reshape(size, n, 8).transpose(0, 2, 1).reshape(8 * size, n)[:n]
+        text = lines.tobytes().decode()
+        return [text[i : i + n + 1] for i in range(0, n * (n + 1), n + 1)]
 
     def __str__(self) -> str:
         return "\n".join(self.stabilizer_lines())

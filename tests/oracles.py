@@ -10,6 +10,12 @@ row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step, and `set_rows` writes rows into a column tableau.
 `product_phases` finds every letter's phase by `Tableau._product`, the
 column scan that the stored phases `kz` and `kx` replace.
+`reference_stabilizer_lines` is `Tableau.stabilizer_lines` as it was before it
+built the letters as one byte matrix: each column's bits read as an octal
+string, the per-column letters transposed through `zip`.
+`element_from_coordinates` is the 4**n element of the ideal whose coordinates
+along B_b and B_b * J are a given complex vector, the carrier the
+dense-clifford backend stepped before it kept only the coordinates.
 `per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and
 the Born enumeration as they were before both became one walk over outcome
 prefixes: every shot evolved on its own, and a stack of state-vector branches.
@@ -28,7 +34,7 @@ import numpy as np
 
 from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
 from bladesim.strings import _LETTERS, PauliString, pauli_mul
-from bladesim.tableau import _IMAGES
+from bladesim.tableau import _IMAGES, _column_bits, _transpose
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -261,6 +267,30 @@ def set_rows(t, rows) -> None:
 def product_phases(t) -> tuple[list[int], list[int]]:
     """Each qubit's (kz, kx): the phases of Z_q and X_q as products of the rows their columns select."""
     return [t._product(t._swap_halves(c))[2] for c in t.xs], [t._product(t._swap_halves(c))[2] for c in t.zs]
+
+
+_OCTAL_LETTERS = str.maketrans("0123", "".join(_LETTERS))  # letter code x + 2z as a digit
+
+
+def reference_stabilizer_lines(t) -> list[str]:
+    """One signed line per stabilizer row, from the columns read as octal digit strings."""
+    n = t.n
+    # read as octal, a column's x and z bit strings add up to one digit x + 2z per row
+    letters = [
+        format(int(x, 8) + 2 * int(z, 8), f"0{n}o").translate(_OCTAL_LETTERS)
+        for x, z in zip(_column_bits(t.xs, n, 2 * n), _column_bits(t.zs, n, 2 * n))
+    ]
+    return [("-" if (t.r >> i) & 1 else "+") + row for i, row in zip(range(n, 2 * n), _transpose(letters))]
+
+
+def element_from_coordinates(n: int, v):
+    """The IdealState with coordinates v: sum of Re v[b] B_b + Im v[b] B_b J, from `ideal._basis`."""
+    from bladesim import DenseMultivector, IdealState
+    from bladesim.ideal import _basis
+
+    cols, _ = _basis(n)
+    v = np.asarray(v, dtype=complex)
+    return IdealState(n, DenseMultivector(n, cols @ np.concatenate((v.real, v.imag))))
 
 
 def _letter_change(code: int, image: str):

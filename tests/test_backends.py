@@ -13,10 +13,12 @@ from bladesim import (
     Circuit,
     GateOp,
     IdealState,
+    OperatorPair,
     apply,
     born_distribution,
     gate_to_operator_pair,
     parse,
+    qubit_projector,
     random_clifford_circuit,
     run,
     theta,
@@ -24,10 +26,10 @@ from bladesim import (
     validate,
 )
 from bladesim import statevector as sv
-from bladesim.backends import BACKENDS, BRANCH_EPS, _dense_backend
+from bladesim.backends import BACKENDS, BRANCH_EPS, _dense_backend, _ideal_project
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import circuits
-from oracles import circuit_unitary, per_record_counts, random_dense, set_rows
+from oracles import circuit_unitary, element_from_coordinates, per_record_counts, random_dense, set_rows
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 CERTAIN = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")  # no random outcome
@@ -123,13 +125,15 @@ def test_mid_circuit_measurement_prefix_handling():
 
 
 def test_capacity_errors():
+    # both dense backends stop at STATEVECTOR_CAP = 12 qubits, and so does validate
     big = parse("qubits 13\nh 0\n")
-    with pytest.raises(CapacityError):
-        run(big, backend="statevector")
-    medium = parse("qubits 6\nh 0\n")
-    with pytest.raises(CapacityError):
-        run(medium, backend="dense-clifford")
-    run(medium, backend="stabilizer")  # no cap
+    for backend in ("statevector", "dense-clifford"):
+        with pytest.raises(CapacityError, match="at most 12 qubits"):
+            run(big, backend=backend)
+    with pytest.raises(CapacityError, match="at most 12 qubits"):
+        validate(big)
+    run(big, backend="stabilizer")  # no cap
+    run(parse("qubits 12\nh 0\n"), backend="dense-clifford")
 
 
 def test_run_rejects_bad_arguments():
@@ -193,8 +197,9 @@ def _ideal_states(n: int, rng) -> list:
 
 
 def test_in_algebra_measurement_matches_state_vector():
-    # the projector (1 - e1_q)/2 in coefficient norms against the state
-    # vector's Born rule and collapse, for every qubit and both outcomes
+    # the projector (1 - e1_q)/2 on coordinates against the same projector on
+    # the 4**n element (coefficient norms) and against the state vector's
+    # Born rule and collapse, for every qubit and both outcomes
     rng = np.random.default_rng(31)
     tol = 1e-12
     for n in range(1, 6):
@@ -204,30 +209,56 @@ def test_in_algebra_measurement_matches_state_vector():
             amps = to_statevector(state)
             for q in range(n):
                 p = sv.born_p1(amps, q, n)
-                p1, collapse = project(state, q)
-                assert abs(p1 - p) <= tol, (n, q, p1, p)
+                p1, collapse = project(amps, q)
+                p_element, collapse_element = _ideal_project(state, OperatorPair.real(qubit_projector(n, q, 1)))
+                assert abs(p1 - p) <= tol and abs(p1 - p_element) <= tol, (n, q, p1, p, p_element)
                 for outcome in (0, 1):
                     if (p if outcome else 1.0 - p) <= BRANCH_EPS:
                         continue  # no branch to collapse onto
-                    dev = np.max(np.abs(to_statevector(collapse(outcome)) - sv.collapse(amps, q, n, outcome)))
-                    assert dev <= tol, (n, q, outcome, dev)
+                    got = collapse(outcome)
+                    dev = np.max(np.abs(got - sv.collapse(amps, q, n, outcome)))
+                    dev_element = np.max(np.abs(got - to_statevector(collapse_element(outcome))))
+                    assert max(dev, dev_element) <= tol, (n, q, outcome, dev, dev_element)
 
 
 def test_dense_shot_loop_measures_inside_the_algebra(monkeypatch):
-    # amplitudes are read once, for `final`; no measurement reads them
+    # every projection a dense-clifford run makes is the algebra's projector:
+    # its p1 and collapse equal those of (1 - e1_q)/2 on the 4**n element with
+    # the same coordinates, and the state vector's Born rule is never called
     calls = 0
-    original = bladesim.backends.to_statevector
+    original = bladesim.backends._dense_backend
 
-    def counting(state):
-        nonlocal calls
-        calls += 1
-        return original(state)
+    def checked_backend(circuit, backend):
+        state, step, project = original(circuit, backend)
+        n = circuit.n
 
-    monkeypatch.setattr(bladesim.backends, "to_statevector", counting)
+        def checked(v, q):
+            nonlocal calls
+            calls += 1
+            p1, collapse = project(v, q)
+            pair = OperatorPair.real(qubit_projector(n, q, 1))
+            p_element, collapse_element = _ideal_project(element_from_coordinates(n, v), pair)
+            assert abs(p1 - p_element) <= 1e-12, (q, p1, p_element)
+
+            def both(outcome):
+                got = collapse(outcome)
+                assert np.max(np.abs(got - to_statevector(collapse_element(outcome)))) <= 1e-12, (q, outcome)
+                return got
+
+            return p1, both
+
+        return state, step, checked
+
+    def refuse(*args):
+        raise AssertionError("the state vector's Born rule was called")
+
+    monkeypatch.setattr(bladesim.backends, "_dense_backend", checked_backend)
+    monkeypatch.setattr(sv, "born_p1", refuse)
+    monkeypatch.setattr(sv, "collapse", refuse)
     circuit = parse((Path(__file__).resolve().parent.parent / "circuits" / "teleport_like.qc").read_text())
     assert circuit.measure_count > 0
     run(circuit, "dense-clifford", shots=50, seed=0)
-    assert calls == 1
+    assert calls > 0
 
 
 def test_validate_passes_on_bell():

@@ -107,8 +107,9 @@ def test_missing_file_exit_code(tmp_path, capsys):
     [
         ["run", "{dir}/nope.qc"],
         ["run", "{dir}/bad.qc"],
-        ["run", "{dir}/wide6.qc", "--backend", "dense-clifford"],
+        ["run", "{dir}/wide13.qc", "--backend", "dense-clifford"],
         ["run", "{dir}/wide13.qc", "--backend", "statevector"],
+        ["validate", "{dir}/wide13.qc"],
         ["run", "{dir}/huge_n.qc"],
         ["run", "{dir}/huge_slot.qc"],
         ["run", "{dir}/fullwidth.qc"],
@@ -130,8 +131,7 @@ def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
     folder = bell_file.parent
     (folder / "bad.qc").write_text("qubits 2\nh 9\n")
     (folder / "det.qc").write_text("qubits 1\nx 0\nmeasure 0\n")  # no random outcome
-    for n in (6, 13):
-        (folder / f"wide{n}.qc").write_text(f"qubits {n}\nh 0\nmeasure 0\n")
+    (folder / "wide13.qc").write_text("qubits 13\nh 0\nmeasure 0\n")  # past both dense backends' cap of 12
     (folder / "huge_n.qc").write_text("qubits 100000000\nh 0\nmeasure 0\n")
     (folder / "huge_slot.qc").write_text("qubits 1\nh 0\nmeasure 0 -> 1000000000000\n")
     (folder / "fullwidth.qc").write_text("qubits \uff13\nh 0\n", encoding="utf-8")

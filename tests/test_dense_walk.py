@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import bladesim.backends
-from bladesim import born_distribution, parse, random_clifford_circuit, run, statevector_pairs, to_statevector
+from bladesim import born_distribution, parse, random_clifford_circuit, run, statevector_pairs
 from bladesim import statevector as sv
 from bladesim.backends import BORN_ENUMERATION_LIMIT
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
@@ -35,10 +35,7 @@ def _assert_walk_matches_slow_paths(circuit):
             for shots in (1, 7, 500):
                 report = run(circuit, backend, shots=shots, seed=seed)
                 assert report["records"] == records[:shots], (backend, seed, shots)
-                final = finals[shots - 1]
-                if backend == "dense-clifford":
-                    final = to_statevector(final)
-                assert report["final"] == {"statevector": statevector_pairs(final)}, (backend, seed, shots)
+                assert report["final"] == {"statevector": statevector_pairs(finals[shots - 1])}, (backend, seed, shots)
     if circuit.measure_count <= BORN_ENUMERATION_LIMIT:
         assert list(born_distribution(circuit).items()) == list(born_stack_walk(circuit).items())
 
@@ -69,8 +66,8 @@ def test_each_outcome_prefix_is_measured_once(circuit, shots, monkeypatch):
         return counted
 
     monkeypatch.setattr(sv, "born_p1", counting("statevector", sv.born_p1))
-    ideal_project = bladesim.backends._ideal_project
-    monkeypatch.setattr(bladesim.backends, "_ideal_project", counting("dense-clifford", ideal_project))
+    coordinate_project = bladesim.backends._coordinate_project
+    monkeypatch.setattr(bladesim.backends, "_coordinate_project", counting("dense-clifford", coordinate_project))
     count = circuit.measure_count
     assert count > 1
     for backend in DENSE:

@@ -131,10 +131,10 @@ GOLDEN = {
     },
     "random0": {
         "dense-clifford": [
-            "2050c30128dba2e6f67bb5151ec8502435d330653b21bc4894f582a401f16843",
-            "6ff0b4686237881373e440dc2d362a0b246f96b42e0cae3a157973f8d0951ab2",
-            "983430610d681d4450f506bae52e5dbb7897f6470cec63cc5c5de2d6d1b292a5",
-            "5fe401035e19a96bfe87011e469c0531e81f0aaf6c1dac7f0275f8cb91de5d48",
+            "c215e32307c17c7926b0c3f9a1816db2be10ed5a4ede0bbdb04795c40f9e033c",
+            "12f8456330d5008a3425a4d6857b0eaccef92eecc2d768f1093e79331f16c96f",
+            "29ca5b7b8155eb1322472aca1871ef76508d47115ba65d1297fdda17a1e71c61",
+            "a7193ee08f9faacb431d80dbfa738b51098f48d70adc6bb3f7c04ff720b68973",
         ],
         "stabilizer": [
             "cb6db3bb13c66927c19994003447a9e1ad52e166d56a23c237e9f733cf81f939",
@@ -183,10 +183,10 @@ GOLDEN = {
     },
     "random2": {
         "dense-clifford": [
-            "c3b05ba8337577341a94b4f1d50fa98e61d5308fc1b741ec3f9fac9340084875",
-            "ea6b4bd87d63804ae4bd93d0afbcd3343e86719824dabd6b5e4f386ebaba45b0",
-            "bc7faa5067c895e18a35912ea6ebf2c7bf1f509f3791e2cd623e8ab8ee01722c",
-            "9c85919ed3a005a9fb5aee203e026ed443003acfb910791c4d207bc6c51d35e5",
+            "a26836a8408b7e6b8c3812f6a85bd39a3364fa6d66ef744a1768e33708695e15",
+            "e0d04c28e2ee5b2007e53014e32b9cffd5a5c9e8d2947ded4384fff75456dbf4",
+            "b8342327b94699547eebf28fb7000c6ceefd3f3eef70e489ba2cdf5deba21df4",
+            "00b95a09cdee33cf292518fdd7f9617650db6e6f6ea6e39ad4ae9bba5f0c5127",
         ],
         "stabilizer": [
             "c935a6db84b2aea6e18bf7282807e478e6ea466767fdb18780bfc7a99d563751",

@@ -15,7 +15,7 @@ from bladesim import (
 )
 from bladesim.circuit import Circuit
 from bladesim.tableau import _indices
-from oracles import RowTableau, gate_unitary, pauli_matrix_oracle, set_rows
+from oracles import RowTableau, gate_unitary, pauli_matrix_oracle, reference_stabilizer_lines, set_rows
 
 ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
 
@@ -85,6 +85,25 @@ def test_columns_match_row_engine_on_wide_circuits():
         scramble = random_clifford_circuit(n, 4 * n, seed, gate_kinds=("h", "s", "cnot"))
         twice = [GateOp("measure", (q // 2,), q) for q in range(2 * n)]
         assert_lockstep(Circuit(n, scramble.ops + tuple(twice), 2 * n), seed)
+
+
+def test_stabilizer_lines_match_the_octal_transpose():
+    # the byte-matrix letters against the per-column octal strings, on random
+    # tableaux (gates and random and deterministic measurements, so signs and
+    # every letter occur) and on GHZ-n, across byte boundaries of n
+    rng = np.random.default_rng(5)
+    for n in (*range(1, 18), 31, 32, 33, 64, 65, 127, 128, 129, 300):
+        t = Tableau(n)
+        for op in random_clifford_circuit(n, 4 * n, seed=n, gate_kinds=ALL_KINDS, measure_prob=0.2).ops:
+            if op.is_measure:
+                t.measure_z(op.qubits[0], rng)
+            else:
+                t.apply_gate(op)
+        assert t.stabilizer_lines() == reference_stabilizer_lines(t), n
+        ghz = Tableau(n).h(0)
+        for q in range(n - 1):
+            ghz.cnot(q, q + 1)
+        assert ghz.stabilizer_lines() == reference_stabilizer_lines(ghz), n
 
 
 def test_native_cz_and_swap_match_their_compositions():
