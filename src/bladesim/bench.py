@@ -66,6 +66,9 @@ def time_tableau_gate(n: int, reps: int = 20, seed: int = 0) -> list[float]:
 def bench_rows(sizes, reps: int = 20, kernels=KERNELS, seed: int = 0) -> list[dict]:
     if reps < 1:
         raise ValueError("need at least one repetition")
+    for kernel in kernels:
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")
     rows = []
     for kernel in kernels:
         timer = time_pauli_mul if kernel == "pauli-mul" else time_tableau_gate

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dense import DenseMultivector, dense_gp, reverse_dense
+from .errors import DimensionMismatchError
 from .strings import BladeString, string_mul
 
 BLADE_NAMES = ("1", "e1", "e2", "e12")
@@ -74,6 +75,8 @@ reverse = reverse_dense
 
 def grade(x: DenseMultivector, k: int) -> Multivector2:
     """Projection onto the grade-k part."""
+    if x.n != 1:
+        raise DimensionMismatchError(f"grades are of one-qubit elements, got {x.n} qubits")
     if k not in (0, 1, 2):
         raise ValueError(f"grade must be 0, 1 or 2, got {k}")
     out = np.where([g == k for g in GRADES], x.c, 0.0)
@@ -82,25 +85,27 @@ def grade(x: DenseMultivector, k: int) -> Multivector2:
 
 def wedge(x: DenseMultivector, y: DenseMultivector) -> DenseMultivector:
     """Outer product: grade-(r+s) part of the product of grade components."""
+    ys = [grade(y, s) for s in range(3)]  # every grade of y, so that a wrong y raises even for x = 0
     out = Multivector2.zero()
     for r in range(3):
         xr = grade(x, r)
         if not xr.c.any():
             continue
         for s in range(3 - r):
-            out = out + grade(gp(xr, grade(y, s)), r + s)
+            out = out + grade(gp(xr, ys[s]), r + s)
     return out
 
 
 def inner(x: DenseMultivector, y: DenseMultivector) -> DenseMultivector:
     """Inner product: grade-|r-s| part of the product of grade components."""
+    ys = [grade(y, s) for s in range(3)]  # every grade of y, so that a wrong y raises even for x = 0
     out = Multivector2.zero()
     for r in range(3):
         xr = grade(x, r)
         if not xr.c.any():
             continue
         for s in range(3):
-            out = out + grade(gp(xr, grade(y, s)), abs(r - s))
+            out = out + grade(gp(xr, ys[s]), abs(r - s))
     return out
 
 

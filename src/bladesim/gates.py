@@ -12,10 +12,10 @@ no real left-multiplication form; it splits into the pair
 (projector onto 0, projector onto 1) with the second part acting through the
 complex unit.
 
-The same words give both carriers: `gate_to_operator_pair` sums them into
-4**n-coefficient elements (the dense oracle), and `ideal.word_action` turns
-them into signed permutations of a state's 2**n ideal coordinates (the
-dense-clifford backend).
+The same words feed three consumers: `gate_to_operator_pair` sums them into
+4**n-coefficient elements (the dense oracle), `ideal.word_action` turns them
+into signed permutations of 2**n ideal coordinates (dense-clifford), and
+`letter_images` conjugates the Pauli letters by them (the tableau's rules).
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .circuit import GateOp
 # `dense_gp` stays a module global, unused here: perfbench/tracing.py patches it by name
 from .dense import DenseMultivector, dense_gp  # noqa: F401
 from .ideal import OperatorPair
+from .strings import BladeString, reverse_string, string_mul
+
+# the letters X, Z, Y (codes 1, 2, 3) as one-qubit words: X = e2, Z = e1, Y = i X Z = -i e1 e2
+_LETTER_WORDS = ((1, BladeString(1, 0, 1)), (1, BladeString(1, 1, 0)), (-1j, BladeString(1, 1, 1)))
 
 
 def projector_words(n: int, q: int, outcome: int) -> tuple:
@@ -64,6 +68,29 @@ def gate_words(g: GateOp, n: int) -> tuple[tuple, tuple]:
         # (1 + e1_a e1_b + e2_a e2_b - e12_a e12_b)/2; blades on different qubits commute
         return ((0.5, 0, 0), (0.5, ab, 0), (0.5, 0, ab), (-0.5, ab, ab)), ()
     raise ValueError(f"no operator form for gate kind {kind!r}")
+
+
+def letter_images(kind: str) -> tuple[tuple, tuple]:
+    """Images U L U^dagger and U^dagger L U of the letters X, Z, Y under a one-qubit gate U.
+
+    Each is (c, e) for i^e X^(c & 1) Z^(c >> 1).  U is the a words plus i times
+    the b words, and U^dagger is U's words reversed, coefficients conjugated.
+    For a Clifford U the products sum to one word coef E1 E2, with Z X = -X Z.
+    """
+    a, b = gate_words(GateOp(kind, (0,)), 1)
+    u = [(unit * coef, BladeString(1, e1, e2)) for unit, words in ((1, a), (1j, b)) for coef, e1, e2 in words]
+    dagger = [(coef.conjugate(), reverse_string(w)) for coef, w in u]
+
+    def image(left, right, c, w):
+        terms: dict = {}
+        for cl, wl in left:
+            for cr, wr in right:
+                p = string_mul(string_mul(wl, w), wr)
+                terms[p.e1, p.e2] = terms.get((p.e1, p.e2), 0) + cl * c * cr * p.sign
+        (((e1, e2), coef),) = [t for t in terms.items() if abs(t[1]) > 0.5]
+        return e2 | e1 << 1, ((1, 1j, -1, -1j).index(complex(round(coef.real), round(coef.imag))) + 2 * e1 * e2) % 4
+
+    return tuple(tuple(image(left, right, *letter) for letter in _LETTER_WORDS) for left, right in ((u, dagger), (dagger, u)))
 
 
 def _dense_bits(n: int, mask: int, code: int) -> int:

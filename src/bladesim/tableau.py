@@ -16,11 +16,11 @@ once with every random outcome left as a fresh variable gives each outcome of
 every shot as a parity of that shot's draws.  A tableau measured only through
 `measure_z` keeps every mask 0.
 
-A single-qubit gate is its table of signed images of the letters X, Z, Y.
-Each image bit and each sign flip is a boolean function of a row's x and z
-bits at the qubit, so the gate's new columns and sign flips are XORs of x, z
-and x & z with coefficients read off the table: H swaps the columns and flips
-the Y rows' signs.  CNOT, CZ and SWAP are column formulas too.  Measurement
+A single-qubit gate conjugates the letters X, Z, Y to signed letters, found
+once from its blade words (`gates.letter_images`).  Each new bit and sign flip
+is a boolean function of a row's x and z bits at the qubit, an XOR of x, z and
+x & z with coefficients read off those images: H swaps the columns and flips
+the Y rows' signs.  CNOT, CZ and SWAP are column formulas.  Measurement
 follows the standard destabilizer bookkeeping, bit-parallel across rows: a
 random outcome multiplies the first anticommuting stabilizer (by row index)
 into every other anticommuting row one column at a time, counting each row's
@@ -53,46 +53,28 @@ import numpy as np
 
 from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, GateOp
 from .errors import DimensionMismatchError, TableauInvariantError
+from .gates import letter_images
 
 # `pauli_mul` stays a module global, unused here: perfbench/tracing.py patches it by name
-from .strings import _LETTERS, PauliString, _pauli, pauli_mul  # noqa: F401
-
-# conjugation images of X, Z, Y, i.e. of the letter codes 1, 2, 3
-_IMAGES = {
-    "h": ("Z", "X", "-Y"),
-    "s": ("Y", "Z", "-X"),
-    "sdg": ("-Y", "Z", "X"),
-    "x": ("X", "-Z", "-Y"),
-    "y": ("-X", "-Z", "Y"),
-    "z": ("-X", "Z", "-Y"),
-}
+from .strings import PauliString, _pauli, pauli_mul  # noqa: F401
 
 
-def _rule(images) -> tuple:
-    """Masks (a, b, c) of the new x bit, the new z bit and the sign flip.
+def _rule(forward, backward) -> tuple:
+    """A one-qubit gate's column rule and phase rule, read off its letter images.
 
-    Each is a boolean function f of a row's (x, z) bits with f(I) = 0, read
-    off the images of X, Z and Y, and written f = (x & a) ^ (z & b) ^ (x & z & c)
-    with each mask 0 or -1.
+    An image is (c, e) for i^e X^(c & 1) Z^(c >> 1), as `gates.letter_images`
+    gives them.  The column rule is the masks (a, b, c) of the new x bit, the
+    new z bit and the sign flip, each a boolean function f of a row's (x, z)
+    bits with f(I) = 0, written f = (x & a) ^ (z & b) ^ (x & z & c) with each
+    mask 0 or -1 and read off the forward images G L G^-1 of X, Z and Y: the
+    sign flips where the image is minus a letter, Y = i X Z taking one i.  The
+    phase rule is (c, -e mod 4) of the backward images G^-1 L G of X and Z.
     """
-    codes = [_LETTERS.index(image.lstrip("-")) for image in images]
-    bits = ([c & 1 for c in codes], [c >> 1 for c in codes], [int(image[0] == "-") for image in images])
-    return tuple((-fx, -fz, -(fx ^ fz ^ fy)) for fx, fz, fy in bits)
+    bits = ([c & 1 for c, _ in forward], [c >> 1 for c, _ in forward], [int(e - (c == 3) == 2) for c, e in forward])
+    return tuple((-fx, -fz, -(fx ^ fz ^ fy)) for fx, fz, fy in bits), tuple((c, -e % 4) for c, e in backward[:2])
 
 
-def _phase_rule(images) -> tuple:
-    """Per letter X, Z: (code c of its image, -e mod 4) for an image i^e X^(c & 1) Z^(c >> 1).
-
-    A minus sign is e = 2, and Y = i X Z adds 1.
-    """
-    codes = [_LETTERS.index(image.lstrip("-")) for image in images[:2]]
-    return tuple((c, -(2 * (image[0] == "-") + (c == 3)) % 4) for c, image in zip(codes, images))
-
-
-_INVERSE = {"s": "sdg", "sdg": "s"}  # every other single-qubit gate is its own inverse
-# per gate, the column rule read off its images and the phase rule read off its
-# backward images G^-1 L G, which are the images of the inverse gate
-_RULES = {gate: (_rule(images), _phase_rule(_IMAGES[_INVERSE.get(gate, gate)])) for gate, images in _IMAGES.items()}
+_RULES = {gate: _rule(*letter_images(gate)) for gate in ONE_QUBIT_GATES}
 _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
 # entry a: the eight bits of byte a, bit k in byte k of one 8-byte word
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view("<u8").ravel()

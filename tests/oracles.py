@@ -7,7 +7,9 @@ one-pass symbolic `run` must reproduce bit for bit, and `_shot_rng` is a
 shot's stream built the slow way, by numpy's own `default_rng([seed, shot])`,
 which the array pass `backends._shot_words` must equal.  `RowTableau` is the
 row-major stabilizer engine, the slow path that the column `Tableau` must
-match step by step, and `set_rows` writes rows into a column tableau.
+match step by step.  Its one-qubit rules come from `IMAGES`, a hand-written
+table of letter images, which the images the tableau derives from the gates'
+blade words must equal.  `set_rows` writes rows into a column tableau.
 `product_phases` finds every letter's phase by `Tableau._product`, the
 column scan that the stored phases `kz` and `kx` replace.
 `reference_stabilizer_lines` is `Tableau.stabilizer_lines` as it was before it
@@ -34,7 +36,7 @@ import numpy as np
 
 from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
 from bladesim.strings import _LETTERS, PauliString, pauli_mul
-from bladesim.tableau import _IMAGES, _column_bits, _transpose
+from bladesim.tableau import _column_bits, _transpose
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -293,6 +295,18 @@ def element_from_coordinates(n: int, v):
     return IdealState(n, DenseMultivector(n, cols @ np.concatenate((v.real, v.imag))))
 
 
+# the reference images of X, Z, Y under conjugation by each single-qubit gate,
+# written by hand; the tableau derives its own from `gates.letter_images`
+IMAGES = {
+    "h": ("Z", "X", "-Y"),
+    "s": ("Y", "Z", "-X"),
+    "sdg": ("-Y", "Z", "X"),
+    "x": ("X", "-Z", "-Y"),
+    "y": ("-X", "-Z", "Y"),
+    "z": ("-X", "Z", "-Y"),
+}
+
+
 def _letter_change(code: int, image: str):
     """(x flip, z flip, sign flip) taking a letter to its image; None if it is fixed."""
     d = code ^ _LETTERS.index(image.lstrip("-"))
@@ -301,7 +315,7 @@ def _letter_change(code: int, image: str):
 
 
 # per gate, the change of each letter code 0..3
-_ROW_RULES = {gate: (None, *map(_letter_change, (1, 2, 3), images)) for gate, images in _IMAGES.items()}
+_ROW_RULES = {gate: (None, *map(_letter_change, (1, 2, 3), images)) for gate, images in IMAGES.items()}
 
 
 class RowTableau:

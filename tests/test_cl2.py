@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bladesim import (
+    DenseMultivector,
+    DimensionMismatchError,
     E1,
     E2,
     E12,
@@ -143,6 +145,16 @@ def test_wedge_inner_bilinear_over_grades():
                 v = v + grade(part, abs(r - s))
         assert np.allclose(wedge(x, y).c, w.c, atol=1e-12)
         assert np.allclose(inner(x, y).c, v.c, atol=1e-12)
+
+
+def test_grade_wedge_inner_refuse_elements_of_more_qubits():
+    two = DenseMultivector(2, np.arange(16.0))
+    with pytest.raises(DimensionMismatchError):
+        grade(two, 0)
+    for f in (wedge, inner):
+        for x, y in ((two, E1), (E1, two), (Multivector2.zero(), two)):
+            with pytest.raises(DimensionMismatchError):
+                f(x, y)
 
 
 def test_idempotent_value():

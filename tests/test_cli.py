@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bladesim.bench import KERNELS, bench_rows
 from bladesim.cli import build_parser, main, parse_sizes
 from oracles import set_rows
 
@@ -156,6 +157,15 @@ def test_bench_both_kernels(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5  # header + 2 sizes x 2 kernels
+
+
+def test_bench_rows_refuses_unknown_kernels():
+    # an unknown name used to time H gates under that name
+    with pytest.raises(ValueError, match="pauli-mul, tableau-gate"):
+        bench_rows([8], reps=1, kernels=("string-mul",))
+    with pytest.raises(ValueError, match="'nope'"):
+        bench_rows([8], reps=1, kernels=("pauli-mul", "nope"))
+    assert [r["kernel"] for r in bench_rows([8], reps=1, kernels=KERNELS)] == list(KERNELS)
 
 
 def test_bench_skips_oversized_tableau_points(capsys):

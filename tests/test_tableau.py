@@ -13,9 +13,10 @@ from bladesim import (
     TableauInvariantError,
     random_clifford_circuit,
 )
-from bladesim.circuit import Circuit
+from bladesim.circuit import ONE_QUBIT_GATES, Circuit
+from bladesim.gates import letter_images
 from bladesim.tableau import _indices
-from oracles import RowTableau, gate_unitary, pauli_matrix_oracle, reference_stabilizer_lines, set_rows
+from oracles import IMAGES, RowTableau, gate_unitary, pauli_matrix_oracle, reference_stabilizer_lines, set_rows
 
 ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
 
@@ -128,6 +129,20 @@ def test_fresh_tableau():
     assert t3.stabilizer_lines() == ["+ZII", "+IZI", "+IIZ"]
     with pytest.raises(ValueError):
         Tableau(0)
+
+
+def test_letter_images_equal_the_reference_table():
+    # the tableau's rules come from these images, the row engine's from the table
+    inverse = {"s": "sdg", "sdg": "s"}  # every other one-qubit gate is its own inverse
+
+    def text(c, e):  # i^e X^(c & 1) Z^(c >> 1) as a signed letter, Y = i X Z
+        return PauliString(1, c & 1, c >> 1, (e - (c == 3)) % 4).to_text()
+
+    assert set(IMAGES) == set(ONE_QUBIT_GATES)
+    for kind in ONE_QUBIT_GATES:
+        forward, backward = letter_images(kind)
+        assert tuple(text(*image) for image in forward) == IMAGES[kind], kind
+        assert tuple(text(*image) for image in backward) == IMAGES[inverse.get(kind, kind)], kind
 
 
 def test_single_qubit_conjugation_against_oracle():
