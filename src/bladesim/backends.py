@@ -162,26 +162,28 @@ def _shot_words(seed: int, shots: int, count: int) -> np.ndarray:
     sum jumped j = k + 2 steps (Brown 1994): mult^j * sum + (1 + ... +
     mult^(j-1)) * inc, one array expression on uint64 limbs for every (shot,
     output) cell, MAX_SHOTS cells at a time.  Nothing to draw hashes nothing.
+    The cells are computed as (count, shots) arrays, so each numpy loop runs
+    along the shots, and returned transposed.
     """
-    out = np.empty((shots, count), dtype=np.uint64)
+    out = np.empty((count, shots), dtype=np.uint64)
     if not count:
-        return out
+        return out.T
     mult = 0x2360ED051FC65DA44385DF649FCCF645
     a, c, jumps = mult, 1, []  # one step: a = mult, c = 1
     for _ in range(count):
         a, c = a * mult % 2**128, (c * mult + 1) % 2**128
         jumps.append([a >> 64, a % 2**64, c >> 64, c % 2**64])
-    a_hi, a_lo, c_hi, c_lo = np.array(jumps, dtype=np.uint64).T
+    a_hi, a_lo, c_hi, c_lo = np.array(jumps, dtype=np.uint64).T[..., None]
     chunk = max(1, MAX_SHOTS // count)
     for first in range(0, shots, chunk):
-        w0, w1, w2, w3 = _pcg64_words(seed, np.arange(first, min(first + chunk, shots))).T[..., None]
+        w0, w1, w2, w3 = _pcg64_words(seed, np.arange(first, min(first + chunk, shots))).T
         inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
         start = _add128(inc, (w0, w1))
         del w0, w1, w2, w3  # free the hash's words before the wider products
         high, low = _add128(_mul128(start, (a_hi, a_lo)), _mul128(inc, (c_hi, c_lo)))
         value, rot = high ^ low, high >> 58
-        out[first : first + chunk] = value >> rot | value << (64 - rot & 63)
-    return out
+        out[:, first : first + chunk] = value >> rot | value << (64 - rot & 63)
+    return out.T
 
 
 def _check_args(shots: int, seed: int) -> tuple[int, int]:
@@ -234,6 +236,20 @@ def _counts(circuit: Circuit, records: np.ndarray) -> dict[str, int]:
         reg[:, slots] = part[:, writers] + ord("0")
         counts.update(reg.view(f"S{creg}").ravel().tolist())
     return {key.decode(): count for key, count in counts.items()}
+
+
+def _tally(records: np.ndarray) -> dict[tuple, int]:
+    """{record: shots} over the (shots, measurements) records, in order of first appearance.
+
+    Each row is keyed by its bits packed into bytes, one `Counter` counts the
+    keys, and the distinct keys are unpacked together; a record is a tuple
+    of Python ints, as the report prints it.
+    """
+    packed = np.ascontiguousarray(np.packbits(records, axis=1))
+    counts = Counter(packed.view(f"V{packed.shape[1]}").ravel().tolist())
+    distinct = np.frombuffer(b"".join(counts), dtype=np.uint8).reshape(len(counts), -1)
+    rows = np.unpackbits(distinct, axis=1, count=records.shape[1]).tolist()
+    return {tuple(row): count for row, count in zip(rows, counts.values())}
 
 
 def _walk(circuit: Circuit, state, step, project, split, weight):
@@ -379,17 +395,19 @@ def _ideal_project(state: IdealState, projector: OperatorPair) -> tuple:
 
 
 def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int = 0) -> dict:
-    """Execute a circuit and return a JSON-ready report.
+    """Execute a circuit and return its report, a dict that `cli.report_text` writes as JSON.
 
-    The report is identical for identical (circuit, backend, shots, seed)
-    except for the "timing" section.
+    "records" is the sampler's read-only (shots, measurements) uint8 array
+    of 0s and 1s; every other value is JSON-ready.  The report is identical
+    for identical (circuit, backend, shots, seed) except for the "timing"
+    section.
     """
     shots, seed = _check_args(shots, seed)
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     t0 = time.perf_counter()
     if backend == "stabilizer":
-        rows, lines = _stabilizer_shots(circuit, shots, seed)
+        records, lines = _stabilizer_shots(circuit, shots, seed)
         final = {"stabilizers": lines}
     else:
         # shot s takes outcome 1 at measurement m when u[s, m], its m-th random(), is below p1
@@ -399,12 +417,12 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
             one = u[idx, m] < p1
             return [(outcome, part) for outcome, part in ((0, idx[~one]), (1, idx[one])) if part.size]
 
-        rows = np.empty(u.shape, dtype=int)
+        records = np.empty(u.shape, dtype=np.uint8)
         for record, idx, state in _walk(circuit, *_dense_backend(circuit, backend), split, np.arange(shots)):
-            rows[idx] = record
+            records[idx] = record
             if idx[-1] == shots - 1:  # the last shot's state is the report's
                 final = {"statevector": statevector_pairs(state)}
-    records = rows.tolist()
+    records.flags.writeable = False
     elapsed = time.perf_counter() - t0
     return {
         "backend": backend,
@@ -413,7 +431,7 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         "shots": shots,
         "seed": seed,
         "records": records,
-        "counts": _counts(circuit, rows),
+        "counts": _counts(circuit, records),
         "final": final,
         "timing": {"total_s": elapsed, "per_shot_s": elapsed / shots},
     }
@@ -458,8 +476,8 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / shots))
     n = circuit.n
     ops = circuit.ops
-    records = run(circuit, "stabilizer", shots=shots, seed=seed)["records"] if circuit.measure_count else [[]]
-    shot0 = iter(records[0])
+    records = run(circuit, "stabilizer", shots=shots, seed=seed)["records"] if circuit.measure_count else np.empty((1, 0))
+    shot0 = iter(records[0].tolist())  # shot 0's outcomes, as Python ints
     t = Tableau(n)
     psi, sv_step, sv_project = _dense_backend(circuit, "statevector")
     coords, dense_step, dense_project = _dense_backend(circuit, "dense-clifford")
@@ -522,18 +540,18 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     # empirical state-vector reference when there are too many measurements
     # to enumerate every branch)
     if circuit.measure_count:
-        counts = Counter(map(tuple, records))
+        counts = _tally(records)
         enumerable = circuit.measure_count <= BORN_ENUMERATION_LIMIT
         if enumerable:
             dist = born_distribution(circuit)
             tol = stat_tol
             impossible = [k for k in counts if k not in dist]
         else:
-            sampled = Counter(map(tuple, run(circuit, "statevector", shots=shots, seed=seed)["records"]))
+            sampled = _tally(run(circuit, "statevector", shots=shots, seed=seed)["records"])
             dist = {k: c / shots for k, c in sampled.items()}
             tol = stat_tol * math.sqrt(2.0)  # two sampled sides
             impossible = []
-        worst = max(abs(counts[k] / shots - dist.get(k, 0.0)) for k in set(dist) | set(counts))
+        worst = max(abs(counts.get(k, 0) / shots - dist.get(k, 0.0)) for k in set(dist) | set(counts))
         passed = not impossible and worst <= tol
         ref_name = "exact" if enumerable else "sampled"
         detail = f"max |freq - p| = {worst:.4f} over {len(dist)} records ({ref_name} reference)"

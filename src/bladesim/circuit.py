@@ -35,7 +35,8 @@ MEASURE = "measure"
 # they fill in at 2^14 qubits), so memory, not gate time, stops the parser and
 # the tableau-gate bench at 2^14 qubits; 2^16 slots allow four measurements
 # per qubit there.  A run holds every shot's draws in one array, made 2^20 cells
-# at a time, and a record list per shot, so it takes at most 2^20 shots.
+# at a time, and its records in a (shots, measurements) byte array, written
+# out 2^20 bytes of text at a time, so it takes at most 2^20 shots.
 MAX_QUBITS = 1 << 14
 MAX_SLOTS = 1 << 16
 MAX_SHOTS = 1 << 20

@@ -16,11 +16,13 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import backends, bench
-from .circuit import MAX_QUBITS, ParseError, parse
+from .circuit import MAX_QUBITS, MAX_SHOTS, ParseError, parse
 from .errors import BladesimError
 
 
@@ -74,42 +76,82 @@ def _write_text(path: str | None, text: str) -> None:
 def report_text(report) -> str:
     """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, for any JSON value, without json's slow path.
 
-    With `indent` set, json encodes in pure Python.  Here a dict with str keys
-    is walked in sorted key order, and a list of lists of exact ints (a
-    report's records) is joined from the text of each distinct row, made
-    once; bools and floats are not exact ints, though 1 == True == 1.0.  A
+    With `indent` set, json encodes in pure Python.  Here the text is built
+    as a list of pieces and joined once.  A dict with str keys is walked in
+    sorted key order and a list item by item.  A 2-D uint8 array of 0s and
+    1s (a run's records) is written from one row template, as its `tolist()`
+    would be (`_bit_rows`); any other array is written as its `tolist()`.  A
     list of lists of numbers, bools and None (a state vector's [re, im]
-    pairs) is json's compact text, broken into lines at its brackets and
-    commas, and a value that is no list or dict is json's compact text.  Any
-    other value is json's own text with its lines moved to the value's depth:
-    json escapes newlines inside strings, so each newline it writes is indent.
+    pairs, or records as lists) is json's compact text, broken into lines at
+    its brackets and commas, and a value that is no list or dict, or is
+    empty, is json's compact text.  A dict with other keys is json's own
+    text with its lines moved to the value's depth: json escapes newlines
+    inside strings, so each newline it writes is indent.
     """
-    return _encode(report, "\n") + "\n"
+    out = []
+    _encode(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(value, newline: str) -> str:
-    """`value` as json.dumps indents it, where `newline` is a line break and the value's own indent."""
-    if not isinstance(value, (list, tuple, dict)):
-        return json.dumps(value)  # no line breaks to indent, so the C encoder gives the same text
+def _encode(value, newline: str, out: list) -> None:
+    """Append `value` to `out` as json.dumps indents it, where `newline` is a line break and the value's own indent."""
     inner = newline + "  "
-    if type(value) is dict and value and set(map(type, value)) == {str}:
-        items = (inner + encode_basestring_ascii(key) + ": " + _encode(value[key], inner) for key in sorted(value))
-        return "{" + ",".join(items) + newline + "}"
-    if type(value) is list and value and set(map(type, value)) == {list}:
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and len(value) and value.dtype == np.uint8 and value.max(initial=0) <= 1:
+            _bit_rows(value, newline, out)
+        else:
+            _encode(value.tolist(), newline, out)
+    elif not isinstance(value, (list, tuple, dict)) or not value:
+        out.append(json.dumps(value))  # no line breaks to indent, so the C encoder gives the same text
+    elif type(value) is dict and set(map(type, value)) == {str}:
+        for sep, key in zip(chain("{", repeat(",")), sorted(value)):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append(newline + "}")
+    elif isinstance(value, dict):
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+    elif (
+        type(value) is list
+        and set(map(type, value)) == {list}
+        and set(map(type, chain.from_iterable(value))) <= {int, float, bool, type(None)}
+    ):
+        # compact text of numbers, literals and brackets: no quotes, so every bracket and comma is structure
         deeper = inner + "  "
-        kinds = set(map(type, chain.from_iterable(value)))
-        if kinds <= {int}:
-            keys = list(map(tuple, value))
-            rows = dict.fromkeys(keys)
-            for row in rows:
-                rows[row] = "[" + deeper + ("," + deeper).join(map(int.__repr__, row)) + inner + "]" if row else "[]"
-            return "[" + inner + ("," + inner).join(map(rows.__getitem__, keys)) + newline + "]"
-        if kinds <= {int, float, bool, type(None)}:
-            # compact text of numbers, literals and brackets: no quotes, so every bracket and comma is structure
-            text = json.dumps(value, separators=(",", ":"))[1:-1].replace(",", "," + deeper)
-            text = text.replace("]," + deeper + "[", "]," + inner + "[").replace("[", "[" + deeper).replace("]", inner + "]")
-            return "[" + inner + text.replace("[" + deeper + inner + "]", "[]") + newline + "]"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+        text = json.dumps(value, separators=(",", ":"))[1:-1].replace(",", "," + deeper)
+        text = text.replace("]," + deeper + "[", "]," + inner + "[").replace("[", "[" + deeper).replace("]", inner + "]")
+        out.append("[" + inner + text.replace("[" + deeper + inner + "]", "[]") + newline + "]")
+    else:
+        for sep, item in zip(chain("[", repeat(",")), value):
+            out.append(sep + inner)
+            _encode(item, inner, out)
+        out.append(newline + "]")
+
+
+def _bit_rows(rows: np.ndarray, newline: str, out: list) -> None:
+    """Append a 2-D array of 0s and 1s, with at least one row, to `out` as `_encode` writes its `tolist()`.
+
+    Each row's text, with the comma and line break after it, has one width,
+    and its digits sit in fixed columns.  So the rows are copies of one
+    template with the digits added in by a single array assignment, and the
+    text is decoded once.  The matrix is filled MAX_SHOTS bytes at a time,
+    so that a chunk's template copies are still in cache when its digits
+    are added.
+    """
+    count, width = rows.shape
+    inner = newline + "  "
+    deeper = inner + "  "
+    sep = "," + inner
+    row = "[" + ",".join([deeper + "0"] * width) + inner + "]" if width else "[]"
+    template = np.frombuffer((row + sep).encode(), dtype=np.uint8)
+    first_digit, step = 1 + len(deeper), len(deeper) + 2
+    text = np.empty((count, len(template)), dtype=np.uint8)
+    chunk = max(1, MAX_SHOTS // len(template))
+    for first in range(0, count, chunk):
+        part = text[first : first + chunk]
+        part[:] = template
+        np.add(rows[first : first + chunk], ord("0"), out=part[:, first_digit : first_digit + step * width : step])
+    out += ("[" + inner, str(memoryview(text.reshape(-1))[: -len(sep)], "ascii"), newline + "]")
 
 
 def _cmd_run(args) -> int:

@@ -26,7 +26,9 @@ registers as byte rows: one string per distinct record, slot by slot.
 `reference_parse` is the circuit parser as it was before it read lines as
 plain words: a (column, token) pair for every word, positions threaded
 through its helpers.  Its refusals, their order and their positions are the
-ones `parse` must give.
+ones `parse` must give.  `graded_mul` is the product of the paper's graded
+tensor product Cl_{2,0}(R)^(x)n on packed blade words, which bladesim does
+not compute: `string_mul`'s ungraded sign times one more popcount.
 """
 
 import re
@@ -35,7 +37,7 @@ from collections import Counter
 import numpy as np
 
 from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
-from bladesim.strings import _LETTERS, PauliString, pauli_mul
+from bladesim.strings import _LETTERS, BladeString, PauliString, pauli_mul, string_mul
 from bladesim.tableau import _column_bits, _transpose
 
 I2 = np.eye(2)
@@ -158,6 +160,24 @@ def random_pauli_string(n: int, rng):
     x = int(rng.integers(0, 2**n))
     z = int(rng.integers(0, 2**n))
     return PauliString(n, x, z, int(rng.integers(0, 4)))
+
+
+def graded_mul(a, b):
+    """a * b in the graded tensor product, where odd blades on different qubits anticommute.
+
+    Moving b's qubit-k factor left past a's factors on the qubits j > k costs
+    (-1)^(deg a_j * deg b_k), so the graded sign is `string_mul`'s sign times
+    (-1)^sum_{j>k} p_a(j) p_b(k), p the masks of odd-grade qubits (e1 or e2,
+    not e12).  Its parity is |p_a & (odd << 1)|, where bit k of `odd` is the
+    parity of p_b's bits 0..k: the odd prefix `Tableau._product` builds.
+    """
+    ab = string_mul(a, b)
+    odd, shift = b.e1 ^ b.e2, 1
+    while shift < a.n:
+        odd ^= odd << shift
+        shift <<= 1
+    flips = ((a.e1 ^ a.e2) & (odd << 1)).bit_count()
+    return BladeString(a.n, ab.e1, ab.e2, -ab.sign if flips & 1 else ab.sign)
 
 
 def _shot_rng(seed: int, shot: int):

@@ -34,7 +34,7 @@ def _assert_walk_matches_slow_paths(circuit):
             records, finals = per_shot_dense(circuit, backend, 500, seed)
             for shots in (1, 7, 500):
                 report = run(circuit, backend, shots=shots, seed=seed)
-                assert report["records"] == records[:shots], (backend, seed, shots)
+                assert report["records"].tolist() == records[:shots], (backend, seed, shots)
                 assert report["final"] == {"statevector": statevector_pairs(finals[shots - 1])}, (backend, seed, shots)
     if circuit.measure_count <= BORN_ENUMERATION_LIMIT:
         assert list(born_distribution(circuit).items()) == list(born_stack_walk(circuit).items())

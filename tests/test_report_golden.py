@@ -1,7 +1,8 @@
 """Pinned report digests: run and validate reports must stay byte-identical.
 
 Each digest is the SHA-256 of `json.dumps(report, sort_keys=True)` with the
-wall-clock "timing" section dropped.  The circuits cover the shipped files,
+wall-clock "timing" section dropped and a run's records array written as its
+`tolist()`.  The circuits cover the shipped files,
 random circuits over all nine gate kinds with mid-circuit measurements, and
 one circuit with more measurements than `born_distribution` enumerates, so
 validate's sampled-reference branch is pinned too.
@@ -14,6 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bladesim import parse, random_clifford_circuit, run, validate
@@ -41,7 +43,7 @@ CIRCUITS = _circuits()
 
 def _digest(report: dict) -> str:
     report = {k: v for k, v in report.items() if k != "timing"}
-    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(report, sort_keys=True, default=np.ndarray.tolist).encode()).hexdigest()
 
 
 def _digests(circuit) -> dict[str, list[str]]:

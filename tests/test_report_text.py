@@ -1,18 +1,25 @@
 """`cli.report_text` against `json.dumps(value, sort_keys=True, indent=2) + "\\n"`, byte for byte.
 
-The writer walks dicts itself and joins a list of lists of exact ints from
-each distinct row's text, so the values here cover real run and validate
-reports, the rows json must keep apart although they compare equal (1, True
-and 1.0), and arbitrary JSON values.
+A run's records are a uint8 array; the expected text writes an array as its
+`tolist()`.  The writer walks dicts and lists itself, writes a 2-D array of
+0s and 1s from one row template a bounded number of bytes at a time, and
+breaks the compact text of rows of numbers into lines.  So the values here
+cover real run and validate reports, arrays of every shape, layout and
+chunking, arrays the template must refuse, the rows json must keep apart
+although they compare equal (1, True and 1.0), and arbitrary JSON values.
+No report may reach json's pure-Python encoder, the one `indent` selects.
 """
 
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import bladesim.cli
 import bladesim.tableau
 from bladesim import parse, run, validate
 from bladesim.backends import BACKENDS
@@ -26,7 +33,7 @@ NO_MEASURE = "qubits 2\nh 0\ncnot 0 1\n"  # records [[], [], ...]
 
 
 def expected(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -40,7 +47,31 @@ def test_run_reports(src):
         if backend != "stabilizer" and circuit.n > 5:
             continue  # past the dense backends' cap
         report = run(circuit, backend, shots=50, seed=3)
+        records = report["records"]
+        assert records.dtype == np.uint8 and records.shape == (50, circuit.measure_count), backend
         assert report_text(report) == expected(report), backend
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_records_are_read_only(backend):
+    report = run(parse(SHIPPED["teleport_like"]), backend, shots=20, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        report["records"][0, 0] = 1 - report["records"][0, 0]
+
+
+def test_no_report_reaches_the_indenting_encoder(monkeypatch):
+    dumps = json.dumps
+
+    def compact_only(*args, **kwargs):
+        assert kwargs.get("indent") is None, "json.dumps called with indent"
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(bladesim.cli.json, "dumps", compact_only)
+    for src in [*SHIPPED.values(), MANY_MEASURES, NO_MEASURE]:
+        circuit = parse(src)
+        for backend in BACKENDS:
+            report_text(run(circuit, backend, shots=40, seed=2))
+        report_text(validate(circuit, shots=100, seed=2))
 
 
 @pytest.mark.parametrize("src", [*SHIPPED.values(), MANY_MEASURES, NO_MEASURE], ids=[*SHIPPED, "many_measures", "no_measure"])
@@ -89,7 +120,11 @@ def test_failing_validate_report(monkeypatch):
         [[-5, 17], [-5, 17], [3, -3]],
         {1: "int key", 2: "sorted as ints"},
         {"outer": {3: [[1]], 1: None}},
+        [{1: "int key in a list"}],
         [{"b": 1, "a": [[1, 2]]}],
+        ["+XX", "-iZY"],
+        [{"name": "a", "passed": True}, {"name": "b", "passed": False}],
+        [[], ["a"], [[]], {}],
         [[[1]], [[2]]],
         True,
         None,
@@ -172,3 +207,52 @@ number_rows = st.lists(
 @given(number_rows | st.dictionaries(st.text(max_size=3), number_rows, max_size=3))
 def test_any_rows_of_numbers(value):
     assert report_text(value) == expected(value)
+
+
+bit_shapes = st.tuples(st.integers(1, 40), st.integers(0, 70))
+
+
+@given(
+    bit_shapes.flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))),
+    st.sampled_from(["contiguous", "transposed", "strided"]),
+)
+def test_bit_arrays(bits, layout):
+    if layout == "transposed":
+        bits = np.ascontiguousarray(bits.T).T
+    elif layout == "strided":
+        wide = np.zeros((2 * bits.shape[0], 2 * bits.shape[1] + 1), dtype=np.uint8)
+        wide[::2, 1::2] = bits
+        bits = wide[::2, 1::2]
+    value = {"records": bits, "deeper": [{"records": bits}]}
+    assert report_text(value) == expected(value)
+    assert report_text(bits) == expected(bits)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.array([[0, 2], [1, 0]], dtype=np.uint8),
+        np.array([[255, 0], [1, 1]], dtype=np.uint8),
+        np.array([[0, 1], [1, 0]], dtype=np.int64),
+        np.array([0, 1, 1], dtype=np.uint8),
+        np.array([], dtype=np.uint8),
+        np.zeros((0, 4), dtype=np.uint8),
+        np.zeros((3, 0), dtype=np.uint8),
+        np.array([[[0, 1]], [[1, 0]]], dtype=np.uint8),
+        np.array([[0.5, 1.0]]),
+    ],
+    ids=["a 2", "a 255", "int64", "1-D", "empty 1-D", "no rows", "empty rows", "3-D", "float64"],
+)
+def test_arrays_the_template_does_not_take(value):
+    for wrapped in (value, {"records": value}, [[value]]):
+        assert report_text(wrapped) == expected(wrapped)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 56, 57, 58, 114, 200])
+def test_template_chunks(monkeypatch, cells):
+    # a row of 5 outcomes at depth 1 is 57 bytes with its separator, so these
+    # limits build one row, two rows or more at a time
+    bits = np.arange(45, dtype=np.uint8).reshape(9, 5) % 3 % 2
+    want = expected({"records": bits})
+    monkeypatch.setattr(bladesim.cli, "MAX_SHOTS", cells)
+    assert report_text({"records": bits}) == want

@@ -66,6 +66,17 @@ def test_chunks_equal_the_unchunked_array(monkeypatch, limit):
         assert np.array_equal(_shot_words(2**64 + 3, SHOTS, count), words), (limit, count)
 
 
+def test_streams_cross_a_chunk_boundary():
+    # 4096 outputs per shot make a chunk of 2^20 // 4096 = 256 shots, so 300 shots take two
+    count, shots = 4096, 300
+    assert bladesim.backends.MAX_SHOTS // count == 256
+    for seed in (0, 2**64 + 3):
+        words = _shot_words(seed, shots, count)
+        assert words.shape == (shots, count) and words.dtype == np.uint64
+        for shot in range(shots):
+            assert np.array_equal(words[shot], _shot_rng(seed, shot).bit_generator.random_raw(count)), (seed, shot)
+
+
 def test_nothing_to_draw_hashes_nothing(monkeypatch):
     def no_hash(seed, shots):
         raise AssertionError("seed words hashed with nothing to draw")
@@ -73,10 +84,10 @@ def test_nothing_to_draw_hashes_nothing(monkeypatch):
     monkeypatch.setattr(bladesim.backends, "_pcg64_words", no_hash)
     assert _shot_words(5, 3, 0).shape == (3, 0)
     certain = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
-    assert run(certain, "stabilizer", shots=4, seed=5)["records"] == [[1, 1]] * 4
+    assert run(certain, "stabilizer", shots=4, seed=5)["records"].tolist() == [[1, 1]] * 4
     unmeasured = parse("qubits 2\nh 0\ncnot 0 1\n")
     for backend in ("dense-clifford", "statevector"):
-        assert run(unmeasured, backend, shots=4, seed=5)["records"] == [[]] * 4
+        assert run(unmeasured, backend, shots=4, seed=5)["records"].tolist() == [[]] * 4
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():

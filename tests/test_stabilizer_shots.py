@@ -25,7 +25,7 @@ CIRCUIT_DIR = Path(__file__).resolve().parent.parent / "circuits"
 def _assert_matches_per_shot(circuit, shots: int, seed: int):
     report = run(circuit, "stabilizer", shots=shots, seed=seed)
     records, lines = per_shot_stabilizer(circuit, shots, seed)
-    assert report["records"] == records
+    assert report["records"].tolist() == records
     assert report["final"] == {"stabilizers": lines}
 
 
