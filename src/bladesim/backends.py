@@ -362,6 +362,13 @@ def _norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
+def _normalized(part, norm2: float, outcome: int):
+    """`part` scaled to unit norm, given its squared norm; a zero part has no outcome to collapse onto."""
+    if norm2 == 0.0:
+        raise ValueError(f"outcome {outcome} has zero norm")
+    return part * (1.0 / math.sqrt(norm2))
+
+
 def _coordinate_project(v: np.ndarray, projector: tuple) -> tuple:
     """Measure on ideal coordinates: p1 = |P1 v|^2 / |v|^2 in the complex norm.
 
@@ -373,7 +380,7 @@ def _coordinate_project(v: np.ndarray, projector: tuple) -> tuple:
 
     def collapse(outcome: int) -> np.ndarray:
         part = one if outcome else v - one
-        return part * (1.0 / math.sqrt(_norm2(part)))
+        return _normalized(part, _norm2(part), outcome)
 
     return p1, collapse
 
@@ -389,7 +396,7 @@ def _ideal_project(state: IdealState, projector: OperatorPair) -> tuple:
 
     def collapse(outcome: int) -> IdealState:
         part = one if outcome else state.psi - one
-        return IdealState(state.n, part * (1.0 / math.sqrt(2**state.n * float(part.c @ part.c))))
+        return IdealState(state.n, _normalized(part, 2**state.n * float(part.c @ part.c), outcome))
 
     return p1, collapse
 
@@ -466,10 +473,12 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     stabilizer row, applied as a Pauli word, fixes the state vector; each
     recorded outcome has Born probability 1 where the tableau calls it
     deterministic, else 1/2.  A failing detail names the first op that
-    failed; a NaN deviation fails.  Statistical check: the run's outcome
-    frequencies against the exact Born distribution, within 0.02 at 10^4
-    shots, widening as four binomial sigmas below that.  One report entry
-    per check.
+    failed; a NaN deviation fails.  The walk stops at an outcome the state
+    vector gives probability at most BRANCH_EPS, and at a dense collapse
+    onto a zero-norm part, which fails the dense check.  Statistical check:
+    the run's outcome frequencies against the exact Born distribution,
+    within 0.02 at 10^4 shots, widening as four binomial sigmas below that.
+    One report entry per check.
     """
     shots, seed = _check_args(shots, seed)
     check_cap(circuit.n, "validation", sv.STATEVECTOR_CAP)
@@ -508,9 +517,13 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
                 if p <= BRANCH_EPS:
                     break  # no branch to collapse onto
                 psi = sv_collapse(outcome)
-                coords = dense_project(coords, q)[1](outcome)
-                if element is not None:
-                    element = element_project(element, q)[1](outcome)
+                try:
+                    coords = dense_project(coords, q)[1](outcome)
+                    if element is not None:
+                        element = element_project(element, q)[1](outcome)
+                except ValueError as err:  # a dense state with no part on the recorded outcome
+                    first.setdefault("dense_clifford_matches_statevector", f"{where}: {err}")
+                    break
             else:
                 t.apply_gate(op)
                 psi = sv_step(psi, op)

@@ -65,20 +65,22 @@ def parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_pieces(path: str | None, pieces: list[str]) -> None:
+    """Write the pieces in order, to stdout when `path` is None or "-", without joining them first."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def report_text(report) -> str:
     """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, for any JSON value, without json's slow path.
 
     With `indent` set, json encodes in pure Python.  Here the text is built
-    as a list of pieces and joined once.  A dict with str keys is walked in
-    sorted key order and a list item by item.  A 2-D uint8 array of 0s and
+    as a list of pieces (`_report_pieces`) and joined once; the CLI writes
+    the pieces without the join.  A dict with str keys is walked in sorted
+    key order and a list item by item.  A 2-D uint8 array of 0s and
     1s (a run's records) is written from one row template, as its `tolist()`
     would be (`_bit_rows`); any other array is written as its `tolist()`.  A
     list of lists of numbers, bools and None (a state vector's [re, im]
@@ -88,10 +90,15 @@ def report_text(report) -> str:
     text with its lines moved to the value's depth: json escapes newlines
     inside strings, so each newline it writes is indent.
     """
+    return "".join(_report_pieces(report))
+
+
+def _report_pieces(report) -> list[str]:
+    """The pieces whose join is `report_text(report)`."""
     out = []
     _encode(report, "\n", out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def _encode(value, newline: str, out: list) -> None:
@@ -157,7 +164,7 @@ def _bit_rows(rows: np.ndarray, newline: str, out: list) -> None:
 def _cmd_run(args) -> int:
     circuit = _read_circuit(args.circuit)
     report = backends.run(circuit, backend=args.backend, shots=args.shots, seed=args.seed)
-    _write_text(args.out, report_text(report))
+    _write_pieces(args.out, _report_pieces(report))
     return 0
 
 
@@ -168,7 +175,7 @@ def _cmd_validate(args) -> int:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"[{mark}] {check['name']}: {check['detail']}")
     if args.out:
-        _write_text(args.out, report_text(report))
+        _write_pieces(args.out, _report_pieces(report))
     return 0 if report["passed"] else 1
 
 
@@ -182,7 +189,7 @@ def _cmd_bench(args) -> int:
             "(a tableau holds 4n^2 bits)",
             file=sys.stderr,
         )
-    _write_text(args.csv, bench.format_csv(rows))
+    _write_pieces(args.csv, [bench.format_csv(rows)])
     return 0
 
 

@@ -1,7 +1,12 @@
 """Plain complex state-vector simulation, the Hilbert-space oracle.
 
 Statevector indices put qubit 0 at the most significant bit, matching the
-leftmost-letter-first text form of Pauli strings.
+leftmost-letter-first text form of Pauli strings.  So qubit q's bit is the
+middle axis of the view `state.reshape(2**q, 2, -1)`: the first axis runs
+over the qubits before q and the last over the qubits after it.  A one-qubit
+gate is its 2x2 matrix times that view, and a measurement reads and zeroes
+the view's halves.  The two-qubit gates index the n-axis view
+`state.reshape([2] * n)`, one axis per qubit, qubit 0 first.
 """
 
 from __future__ import annotations
@@ -43,37 +48,25 @@ def zero_state(n: int) -> np.ndarray:
     return v
 
 
-def _apply_1q(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = np.moveaxis(state.reshape([2] * n), q, -1)
-    t = t @ u.T
-    return np.moveaxis(t, -1, q).reshape(-1)
-
-
-def _slices(n: int, fixed: dict[int, int]) -> tuple:
-    idx: list = [slice(None)] * n
-    for q, v in fixed.items():
-        idx[q] = v
-    return tuple(idx)
-
-
 def apply_gate(state: np.ndarray, op: GateOp, n: int) -> np.ndarray:
     """Apply one unitary gate; measurements are not handled here."""
     if op.kind in GATES_1Q:
-        return _apply_1q(state, GATES_1Q[op.kind], op.qubits[0], n)
-    t = state.reshape([2] * n).copy()
-    if op.kind == "cnot":
-        c, q = op.qubits
-        i10, i11 = _slices(n, {c: 1, q: 0}), _slices(n, {c: 1, q: 1})
-        t[i10], t[i11] = t[i11].copy(), t[i10].copy()
-    elif op.kind == "cz":
-        t[_slices(n, {op.qubits[0]: 1, op.qubits[1]: 1})] *= -1
-    elif op.kind == "swap":
-        a, b = op.qubits
-        i01, i10 = _slices(n, {a: 0, b: 1}), _slices(n, {a: 1, b: 0})
-        t[i01], t[i10] = t[i10].copy(), t[i01].copy()
-    else:
+        q = op.qubits[0]
+        return (GATES_1Q[op.kind] @ state.reshape(2**q, 2, -1)).reshape(-1)
+    if op.kind not in ("cnot", "cz", "swap"):
         raise ValueError(f"unknown gate kind {op.kind!r}")
-    return t.reshape(-1)
+    a, b = op.qubits
+    t = state.reshape([2] * n)
+    if op.kind == "swap":
+        return t.swapaxes(a, b).reshape(-1)
+    one = (slice(None),) * a + (1,)  # the half where qubit a reads 1
+    b -= b > a  # qubit b's axis in that half
+    out = t.copy()
+    if op.kind == "cnot":
+        out[one] = np.flip(t[one], b)
+    else:  # cz
+        out[one][(slice(None),) * b + (1,)] *= -1
+    return out.reshape(-1)
 
 
 def born_p1(state: np.ndarray, q: int, n: int) -> float:
@@ -82,15 +75,13 @@ def born_p1(state: np.ndarray, q: int, n: int) -> float:
     total = w.sum()
     if total == 0.0:
         raise ValueError("zero state has no outcome distribution")
-    p1 = w.reshape([2] * n)[_slices(n, {q: 1})].sum()
-    return float(p1 / total)
+    return float(w.reshape(2**q, 2, -1)[:, 1].sum() / total)
 
 
 def collapse(state: np.ndarray, q: int, n: int, outcome: int) -> np.ndarray:
     """Project qubit q onto the given outcome and renormalize."""
-    t = state.reshape([2] * n).copy()
-    t[_slices(n, {q: 1 - outcome})] = 0.0
-    v = t.reshape(-1)
+    v = state.copy()
+    v.reshape(2**q, 2, -1)[:, 1 - outcome] = 0.0
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError(f"outcome {outcome} on qubit {q} has zero probability")

@@ -29,6 +29,11 @@ through its helpers.  Its refusals, their order and their positions are the
 ones `parse` must give.  `graded_mul` is the product of the paper's graded
 tensor product Cl_{2,0}(R)^(x)n on packed blade words, which bladesim does
 not compute: `string_mul`'s ungraded sign times one more popcount.
+`apply_gate`, `born_p1` and `collapse` are the statevector oracle as it was
+before it read a qubit through the view `state.reshape(2**q, 2, -1)`: a
+one-qubit gate moved its axis last on the n-axis tensor (`_apply_1q`), and
+halves were picked by index tuples (`_slices`).  The two-qubit gates, the
+Born sum and the collapse must give its bytes.
 """
 
 import re
@@ -37,6 +42,7 @@ from collections import Counter
 import numpy as np
 
 from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
+from bladesim.statevector import GATES_1Q
 from bladesim.strings import _LETTERS, BladeString, PauliString, pauli_mul, string_mul
 from bladesim.tableau import _column_bits, _transpose
 
@@ -270,6 +276,60 @@ def born_stack_walk(circuit) -> dict:
             if p > BRANCH_EPS:
                 stack.append((sv.collapse(state, q, n, outcome), i + 1, prob * p, rec + (outcome,)))
     return out
+
+
+def _apply_1q(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
+    t = np.moveaxis(state.reshape([2] * n), q, -1)
+    t = t @ u.T
+    return np.moveaxis(t, -1, q).reshape(-1)
+
+
+def _slices(n: int, fixed: dict[int, int]) -> tuple:
+    idx: list = [slice(None)] * n
+    for q, v in fixed.items():
+        idx[q] = v
+    return tuple(idx)
+
+
+def apply_gate(state: np.ndarray, op: GateOp, n: int) -> np.ndarray:
+    """Apply one unitary gate; measurements are not handled here."""
+    if op.kind in GATES_1Q:
+        return _apply_1q(state, GATES_1Q[op.kind], op.qubits[0], n)
+    t = state.reshape([2] * n).copy()
+    if op.kind == "cnot":
+        c, q = op.qubits
+        i10, i11 = _slices(n, {c: 1, q: 0}), _slices(n, {c: 1, q: 1})
+        t[i10], t[i11] = t[i11].copy(), t[i10].copy()
+    elif op.kind == "cz":
+        t[_slices(n, {op.qubits[0]: 1, op.qubits[1]: 1})] *= -1
+    elif op.kind == "swap":
+        a, b = op.qubits
+        i01, i10 = _slices(n, {a: 0, b: 1}), _slices(n, {a: 1, b: 0})
+        t[i01], t[i10] = t[i10].copy(), t[i01].copy()
+    else:
+        raise ValueError(f"unknown gate kind {op.kind!r}")
+    return t.reshape(-1)
+
+
+def born_p1(state: np.ndarray, q: int, n: int) -> float:
+    """Probability of outcome 1 on qubit q (state need not be normalized)."""
+    w = np.abs(state) ** 2
+    total = w.sum()
+    if total == 0.0:
+        raise ValueError("zero state has no outcome distribution")
+    p1 = w.reshape([2] * n)[_slices(n, {q: 1})].sum()
+    return float(p1 / total)
+
+
+def collapse(state: np.ndarray, q: int, n: int, outcome: int) -> np.ndarray:
+    """Project qubit q onto the given outcome and renormalize."""
+    t = state.reshape([2] * n).copy()
+    t[_slices(n, {q: 1 - outcome})] = 0.0
+    v = t.reshape(-1)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError(f"outcome {outcome} on qubit {q} has zero probability")
+    return v / norm
 
 
 def set_rows(t, rows) -> None:

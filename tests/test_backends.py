@@ -366,6 +366,19 @@ def test_validate_steps_the_engines_run_walks(monkeypatch):
     assert failed["dense_clifford_matches_statevector"].startswith("op 1 (s 0)"), report
 
 
+def test_validate_reports_a_zero_norm_dense_collapse(monkeypatch):
+    # the dense backend's projector swapped for the other outcome's: at a
+    # certain outcome the dense state has no part to collapse onto, which
+    # must fail the dense check at that op and end the walk, not raise
+    original = bladesim.backends.projector_words
+    monkeypatch.setattr(bladesim.backends, "projector_words", lambda n, q, o: original(n, q, 1 - o))
+    report = validate(parse("qubits 1\nmeasure 0\n"), shots=100)
+    assert not report["passed"]
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert list(failed) == ["dense_clifford_matches_statevector"], report
+    assert failed["dense_clifford_matches_statevector"].startswith("op 0 (measure 0)"), report
+
+
 def test_validate_catches_corrupted_measurement(monkeypatch):
     # force every random outcome to 0 in the one CHP measurement that both
     # run and validate's walk call: Bell statistics collapse to one record

@@ -89,6 +89,21 @@ def test_validate_failure_exit_code(bell_file, capsys, monkeypatch):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_validate_zero_norm_dense_collapse_exits_1(tmp_path, capsys, monkeypatch):
+    # a dense projector for the wrong outcome leaves nothing to collapse onto
+    # at a certain outcome: validate reports the failure, with no traceback
+    import bladesim.backends
+
+    original = bladesim.backends.projector_words
+    monkeypatch.setattr(bladesim.backends, "projector_words", lambda n, q, o: original(n, q, 1 - o))
+    path = tmp_path / "measure.qc"
+    path.write_text("qubits 1\nmeasure 0\n")
+    assert main(["validate", str(path), "--shots", "100"]) == 1
+    printed = capsys.readouterr()
+    assert "[FAIL] dense_clifford_matches_statevector: op 0 (measure 0)" in printed.out
+    assert printed.err == ""
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qc"
     bad.write_text("qubits 2\nh 9\n")

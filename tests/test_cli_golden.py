@@ -70,11 +70,11 @@ GOLDEN = {
     "run ghz3 stdout": "7f5ae9f8ac835a86bf569e5c918a38787fa86507ddfb20015798ec184003e78a",
     "run teleport_like dense-clifford": "5737168e4e20e4f298fb7be38622c0b16683f12bdb8cf25ecfb95d5def1af0fb",
     "run teleport_like stabilizer": "c9b275e005fc5a8bc3fe5f9783dfc4d04cf59aa3777bc80826f110c34c10c389",
-    "run teleport_like statevector": "22ec8b1cf6b2cbf48b997a82c934c53f8bb0de5dc78466ec476f8d6102197179",
+    "run teleport_like statevector": "f8d7584634c089d44c7a3fd415feb466c53c553d7d98e035582710fb4276bb3c",
     "run teleport_like stdout": "c9b275e005fc5a8bc3fe5f9783dfc4d04cf59aa3777bc80826f110c34c10c389",
     "validate bell": "6556c4eaa132d876308dc97857308b0f604235561474622795bb07fcf471ddc5",
     "validate ghz3": "1d89910c88fc9731a3d6770594949db1a2934e4afc208aeb17499cab458963a8",
-    "validate teleport_like": "e2304cac40cb9e56b805ed638031d8bd26608bbff3defea030212cf57f6029fd",
+    "validate teleport_like": "4b007ee69c268601e6ab239bf3d06e6e303f91c6190326edb1e8bc1e5329fdab",
 }
 
 

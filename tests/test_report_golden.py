@@ -119,10 +119,10 @@ GOLDEN = {
             "8d8110976088b79c072e30198bd1026704b6d1e4ba21fce665278d84a03c85f1",
         ],
         "statevector": [
-            "6897931873e0f632a256284c172379c14596f016babc0559c09f98f590b722a7",
-            "c5d376efb1413f21135a42a9636d39ea47011ad24f9a0a0cf50f3791186ba879",
-            "ec3edfa32fa165128b0501ebde971e20f666c7b43cdfcbcdae482d33ac60f578",
-            "e8e83b808de4cdd6892f8eda59cfabe7a59f121f8f4a7053244d28e3dea8ad95",
+            "9f1e4b1fc3ec5228075ddc47ab684b50ddc4e3d97466f849075e1565dffcabd4",
+            "1e048b2eac4ff78b0bef878669575e47d4af2e776fe8ef06d2371040d101b6be",
+            "5f1fa07168d220ab7c63574ac9f076c760cc320b5959e45da5ba68a896fa4975",
+            "4ea30ce716ae46ab3000ac209ccc63599fb9f6d44b8dba91fc6aa33e526125a6",
         ],
         "validate": [
             "bc3fb59da5b2b27b857e6cb8a31b9eae8d6f378922991c65cadb9df81199c6e6",
@@ -145,10 +145,10 @@ GOLDEN = {
             "795f7668abdbe001264e89e61badef52f889bda5aca386514ffbd0a655e5e568",
         ],
         "statevector": [
-            "820b2712b01574374bd064537340d9ac469bc6ce29f9f08cd066ec7853208f43",
-            "96f42e9366ed457bbc5d6394f3b0aeccf46301bc9b252890b1e561c0fa93b9cf",
-            "eb7929040035361bf5a361a05b0622816db1d850fc19e1cf83f230e2d3a60eec",
-            "fecf2c0399243c96c8da72739f8c71fdc23b5ba2812d623305ae007b058072e6",
+            "7a6e6ca4623e1926b6c2b6776205e1d36e0ae6aa952bf53ef83a01351af58163",
+            "0de1c3de8a07b525482b1b0ff242e20068f8cffead31fb60d0aa673d142833d4",
+            "24ab8d35b43a96c50f7f3bd4cbbaeea711c14a43716167f0145ef54aee1933d8",
+            "097e1038fee1bb680e40c35fd939872a922440e29e5de88c07021d493088cccb",
         ],
         "validate": [
             "45c373d79133a62c75cc2832d0e85e15b914dc7ac06032cb86442b2a7a490410",
@@ -197,10 +197,10 @@ GOLDEN = {
             "2c8e0e677b28038f61d15e1d11d1f9f888dd2f3f8ca20975493f045953ddaba9",
         ],
         "statevector": [
-            "0ad11422232e93c75bcfbc7906e5a6069a947503cf134d77f37cfff8f5ddb0d5",
-            "a9a61085521f4247f7624407c313fd050c303dd4f1160f380cfbf8d01050d80f",
-            "3c58904cf40941f2a050b7fc8605c788c3fdc7ef5f45f1d16faf49802d34f963",
-            "6b452d32769b837cf41c01ebb5dc07d6836c2ed257b6a544e97e5f2a196e63f6",
+            "a8b79fd636f5aa6a5a603e194a3edf8d14dd48140e8f1fa1c81d2d365db673a4",
+            "ae3226961b593b1f2c3fd39a546054029ef6dc396255231fe4961d3df429c0f7",
+            "37f296efd8c5db7c7cf93cb7a21d284c7455c85cd13607a1facf45beb3285429",
+            "956f3df0468e155f64d93e45554bf22ea622d37d5cb0cf5ab69934e370a9dea8",
         ],
         "validate": [
             "321b4ad07fd4eaa331d2299416a7f27e7e898fd0a2a6e69b86ed6223ff358b2b",
@@ -223,16 +223,16 @@ GOLDEN = {
             "b95a0a1dfb2b21cb1064c75045ec30fca5a4c07b8cf7fd1e8b9aebf3cbc7f78c",
         ],
         "statevector": [
-            "fd01bdda299d3a2980a533b0577c207b009058ba39d2fe3f54ecf02fc6158579",
-            "d05b379a9e238a73dc894659b8848dc5de1fc33bef60d0a6a117565ac370900a",
-            "963d372cf7a21468d9927e900360bf171ba028c957f86700eceb5ee9db9c4bfd",
-            "be2292a180b08ed239c419b759c101d95393d372e695fe66dc1dce99378a8ad9",
+            "4462c92c14c514a55c255a6d663c92c650307f4e02496f260713ec0972d1cbe1",
+            "2398480f3136961c42a1a185f55225ebc50be4d5c65ef69af3831559f1d66cb8",
+            "a6b3742d46cd3531a09f35d25a140c1b4e5c2f4bc8ce0226b78e6893a02af6ea",
+            "76843f6f44a4b3c5cab0df1b1862b08a717e3dc9cbba7c5713fc90742ff97b48",
         ],
         "validate": [
-            "fcf82b0f848ebc3595a12c889fd84795cb81d47bbfb1920467ac1908dcb58340",
-            "b72e21175b8ee1fd4a831758ac6d363f22ae9a8fbf4b3985b103692ce298a4d4",
-            "d7fbd1f5a11c043ed280dea28121e8afd2580a798c4ed1f06f6f2478517d24e3",
-            "6e08b9667a4406302eccc88ddc0ab02fcab1013c2521578de28acf512ce4c52f",
+            "8b7f9e2f35fd3af4c1cf949c908441065267fe16b0800feb8ebd0e903bb40cde",
+            "50b2ee5ec6aadff11f488949bf7bce3ae5f05d7f6e94148c80f06878cabb28f8",
+            "f403ebd62124c225b5373478b36a62caf15dc408101e675f2d66d8c0265aa448",
+            "08af627ee298e68e454d5061fce416ff1864df92fca67b3f2a03f207a2bda395",
         ],
     },
 }

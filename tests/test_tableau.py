@@ -14,7 +14,8 @@ from bladesim import (
     random_clifford_circuit,
 )
 from bladesim.circuit import ONE_QUBIT_GATES, Circuit
-from bladesim.gates import letter_images
+from bladesim.gates import gate_words, letter_images
+from bladesim.strings import BladeString, reverse_string, string_mul
 from bladesim.tableau import _indices
 from oracles import IMAGES, RowTableau, gate_unitary, pauli_matrix_oracle, reference_stabilizer_lines, set_rows
 
@@ -172,6 +173,41 @@ def test_two_qubit_conjugation_against_oracle():
                 t.apply_gate(GateOp(kind, qubits))
                 expected = u @ pauli_matrix_oracle(row) @ u.conj().T
                 assert np.allclose(pauli_matrix_oracle(t.rows[0]), expected, atol=1e-12)
+
+
+def _to_statevector_order(mask: int, n: int) -> int:
+    """A qubit mask (bit q for qubit q) in statevector bit order (bit n-1-q), and back."""
+    return sum(1 << (n - 1 - q) for q in range(n) if mask >> q & 1)
+
+
+def test_two_qubit_column_formulas_match_blade_word_conjugation():
+    # U P U^dagger for all 16 two-letter words P, with U the a words plus i
+    # times the b words of `gate_words` and U^dagger its words reversed and
+    # conjugated, the string_mul sums `letter_images` takes; P is one word,
+    # X = e2, Z = e1 and Y = -i e1 e2 on each qubit, the e1 factors first
+    n = 2
+    for kind in ("cnot", "cz", "swap"):
+        for qubits in ((0, 1), (1, 0)):
+            a, b = gate_words(GateOp(kind, qubits), n)
+            u = [(unit * coef, BladeString(n, e1, e2)) for unit, words in ((1, a), (1j, b)) for coef, e1, e2 in words]
+            dagger = [(coef.conjugate(), reverse_string(w)) for coef, w in u]
+            for row in (PauliString(n, x, z, k) for x in range(4) for z in range(4) for k in (0, 2)):
+                word = BladeString(n, _to_statevector_order(row.z, n), _to_statevector_order(row.x, n))
+                coef = 1j**row.k * (-1j) ** (row.x & row.z).bit_count()
+                terms: dict = {}
+                for cl, wl in u:
+                    for cr, wr in dagger:
+                        p = string_mul(string_mul(wl, word), wr)
+                        terms[p.e1, p.e2] = terms.get((p.e1, p.e2), 0) + cl * coef * cr * p.sign
+                images = [(masks, c) for masks, c in terms.items() if c != 0]
+                assert len(images) == 1, (kind, qubits, row, terms)
+                ((e1, e2), c) = images[0]
+                x, z = _to_statevector_order(e2, n), _to_statevector_order(e1, n)
+                k = ((1, 1j, -1, -1j).index(c) + (x & z).bit_count()) % 4
+                t = Tableau(n)
+                set_rows(t, [row] * 4)
+                t.apply_gate(GateOp(kind, qubits))
+                assert t.rows[0] == PauliString(n, x, z, k), (kind, qubits, row)
 
 
 def test_hadamard_and_bell():
