@@ -221,7 +221,11 @@ def random_clifford_circuit(
 ) -> Circuit:
     """Random circuit over the given gates, reproducible from the seed."""
     rng = np.random.default_rng(seed)
+    if unknown := [g for g in gate_kinds if g not in ONE_QUBIT_GATES + TWO_QUBIT_GATES]:
+        raise ValueError(f"unknown gate kind {unknown[0]!r}")
     kinds = [g for g in gate_kinds if _ARITY[g] == 1 or n >= 2]
+    if not kinds:
+        raise ValueError(f"no gate kind in {tuple(gate_kinds)} applies to {n} qubit(s)")
     ops = []
     next_slot = 0
     for _ in range(depth):

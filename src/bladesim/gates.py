@@ -15,7 +15,7 @@ complex unit.
 The same words feed three consumers: `gate_to_operator_pair` sums them into
 4**n-coefficient elements (the dense oracle), `ideal.word_action` turns them
 into signed permutations of 2**n ideal coordinates (dense-clifford), and
-`letter_images` conjugates the Pauli letters by them (the tableau's rules).
+`letter_images` conjugates Pauli words by them (the tableau's rules).
 """
 
 from __future__ import annotations
@@ -25,15 +25,11 @@ import math
 import numpy as np
 
 from . import dense as _dense
-from .circuit import GateOp
+from .circuit import ONE_QUBIT_GATES, GateOp
 # `dense_gp` stays a module global, unused here: perfbench/tracing.py patches it by name
 from .dense import DenseMultivector, dense_gp  # noqa: F401
 from .ideal import OperatorPair
 from .strings import BladeString, reverse_string, string_mul
-
-# the letters X, Z, Y (codes 1, 2, 3) as one-qubit words: X = e2, Z = e1, Y = i X Z = -i e1 e2
-_LETTER_WORDS = ((1, BladeString(1, 0, 1)), (1, BladeString(1, 1, 0)), (-1j, BladeString(1, 1, 1)))
-
 
 def projector_words(n: int, q: int, outcome: int) -> tuple:
     """Projector onto a measurement outcome on qubit q: (1 + e1)/2 for 0, (1 - e1)/2 for 1."""
@@ -71,26 +67,32 @@ def gate_words(g: GateOp, n: int) -> tuple[tuple, tuple]:
 
 
 def letter_images(kind: str) -> tuple[tuple, tuple]:
-    """Images U L U^dagger and U^dagger L U of the letters X, Z, Y under a one-qubit gate U.
+    """Images U P U^dagger and U^dagger P U of the Pauli words P on a k-qubit gate U's qubits.
 
-    Each is (c, e) for i^e X^(c & 1) Z^(c >> 1).  U is the a words plus i times
-    the b words, and U^dagger is U's words reversed, coefficients conjugated.
-    For a Clifford U the products sum to one word coef E1 E2, with Z X = -X Z.
+    Word c, 0 < c < 4^k, holds X (bit 2i of c), Z (bit 2i + 1) or Y = i X Z
+    (both) at the gate's i-th qubit; image (c, e) is i^e times the X^x Z^z of
+    those bits.  U is the a words plus i times the b words, and U^dagger is
+    U's words reversed, coefficients conjugated.  For a Clifford U the
+    products sum to one word coef E1 E2, with Z X = -X Z.
     """
-    a, b = gate_words(GateOp(kind, (0,)), 1)
-    u = [(unit * coef, BladeString(1, e1, e2)) for unit, words in ((1, a), (1j, b)) for coef, e1, e2 in words]
+    k = 1 if kind in ONE_QUBIT_GATES else 2
+    a, b = gate_words(GateOp(kind, tuple(range(k))[::-1]), k)  # the gate's i-th qubit at statevector bit i
+    u = [(unit * coef, BladeString(k, e1, e2)) for unit, words in ((1, a), (1j, b)) for coef, e1, e2 in words]
     dagger = [(coef.conjugate(), reverse_string(w)) for coef, w in u]
 
-    def image(left, right, c, w):
+    def image(left, right, c):
+        x, z = (sum((c >> 2 * i + j & 1) << i for i in range(k)) for j in (0, 1))
+        w, cw = BladeString(k, z, x), (-1j) ** (x & z).bit_count()  # X = e2, Z = e1, Y = -i e1 e2
         terms: dict = {}
         for cl, wl in left:
             for cr, wr in right:
                 p = string_mul(string_mul(wl, w), wr)
-                terms[p.e1, p.e2] = terms.get((p.e1, p.e2), 0) + cl * c * cr * p.sign
+                terms[p.e1, p.e2] = terms.get((p.e1, p.e2), 0) + cl * cw * cr * p.sign
         (((e1, e2), coef),) = [t for t in terms.items() if abs(t[1]) > 0.5]
-        return e2 | e1 << 1, ((1, 1j, -1, -1j).index(complex(round(coef.real), round(coef.imag))) + 2 * e1 * e2) % 4
+        code = sum((e2 >> i & 1) << 2 * i | (e1 >> i & 1) << 2 * i + 1 for i in range(k))
+        return code, ((1, 1j, -1, -1j).index(complex(round(coef.real), round(coef.imag))) + 2 * (e1 & e2).bit_count()) % 4
 
-    return tuple(tuple(image(left, right, *letter) for letter in _LETTER_WORDS) for left, right in ((u, dagger), (dagger, u)))
+    return tuple(tuple(image(left, right, c) for c in range(1, 4**k)) for left, right in ((u, dagger), (dagger, u)))
 
 
 def _dense_bits(n: int, mask: int, code: int) -> int:

@@ -5,8 +5,10 @@ n..2n-1 stabilizers.  The fresh state |0...0> has destabilizer j = X_j and
 stabilizer j = Z_j, all signs +.  The rows are stored by qubit, as in CHP
 (Aaronson & Gottesman, quant-ph/0406196): bit i of the integers `xs[q]` and
 `zs[q]` is row i's x and z bit at qubit q, and bit i of the integer `r` is
-row i's sign (set for -).  A gate on qubit q rewrites only q's columns, a few
-operations on 2n-bit integers whatever the rows hold.
+row i's sign (set for -).  A gate rewrites only its qubits' columns, a few
+operations on 2n-bit integers whatever the rows hold, read once off its blade
+words (`gates.letter_images`): XORs of the old columns, and a sign flip that
+is an XOR of their ANDs (H swaps the columns and flips the Y rows' signs).
 
 A row's sign is its constant bit times (-1) to the parity of a GF(2)
 variable mask, `vars[i]`: bit r of the mask stands for the r-th random
@@ -16,19 +18,14 @@ once with every random outcome left as a fresh variable gives each outcome of
 every shot as a parity of that shot's draws.  A tableau measured only through
 `measure_z` keeps every mask 0.
 
-A single-qubit gate conjugates the letters X, Z, Y to signed letters, found
-once from its blade words (`gates.letter_images`).  Each new bit and sign flip
-is a boolean function of a row's x and z bits at the qubit, an XOR of x, z and
-x & z with coefficients read off those images: H swaps the columns and flips
-the Y rows' signs.  CNOT, CZ and SWAP are column formulas.  Measurement
-follows the standard destabilizer bookkeeping, bit-parallel across rows: a
-random outcome multiplies the first anticommuting stabilizer (by row index)
-into every other anticommuting row one column at a time, counting each row's
-phase mod 4 in two bit-sliced integers, then replaces that stabilizer; a
-deterministic outcome is the sign of the ordered product of the stabilizers
-the destabilizer bits select, and leaves the tableau untouched.  `measure` is
-that routine, once; `measure_z` is `measure` with a drawn bit for each random
-outcome.
+Measurement follows the standard destabilizer bookkeeping, bit-parallel
+across rows: a random outcome multiplies the first anticommuting stabilizer
+(by row index) into every other anticommuting row one column at a time,
+counting each row's phase mod 4 in two bit-sliced integers, then replaces
+that stabilizer; a deterministic outcome is the sign of the ordered product
+of the stabilizers the destabilizer bits select, and leaves the tableau
+untouched.  `measure` is that routine, once; `measure_z` is `measure` with a
+drawn bit for each random outcome.
 
 The tableau is symplectic, so its inverse needs no columns of its own: with
 the two halves of `xs[q]` exchanged, it selects the rows whose product is
@@ -36,18 +33,20 @@ Z_q, and those of `zs[q]` give X_q.  Only the inverse's signs are kept, as
 in Stim (Gidney, arXiv:2103.02202): the phases `kz[q]` and `kx[q]` mod 4 of
 those two products, so that a deterministic outcome reads `kz[q]` and scans
 no column.  A gate G changes the phases of its own qubits' letters only,
-each to the phase of the backward image G^-1 L G, the forward image of the
-inverse gate: a letter's phase, or for a two-letter image both phases plus
-the sign of reordering the two row products, one popcount.  A random outcome
-updates the phases of the letters that anticommute with the pivot row inside
-its column loop.  `_product`, the column scan, stays for `expectation` and
-as the tests' reference.
+each to the phase of the backward image G^-1 L G as a product of the old
+letters, one popcount per pair of letters.  A random outcome updates the
+phases of the letters that anticommute with the pivot row inside its column
+loop.  `_product`, the column scan, stays for `expectation` and as the tests'
+reference.
 
 `rows`, `destabilizers` and `stabilizers` are read-only PauliString views,
 built by transposing the columns.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from itertools import combinations
 
 import numpy as np
 
@@ -59,22 +58,6 @@ from .gates import letter_images
 from .strings import PauliString, _pauli, pauli_mul  # noqa: F401
 
 
-def _rule(forward, backward) -> tuple:
-    """A one-qubit gate's column rule and phase rule, read off its letter images.
-
-    An image is (c, e) for i^e X^(c & 1) Z^(c >> 1), as `gates.letter_images`
-    gives them.  The column rule is the masks (a, b, c) of the new x bit, the
-    new z bit and the sign flip, each a boolean function f of a row's (x, z)
-    bits with f(I) = 0, written f = (x & a) ^ (z & b) ^ (x & z & c) with each
-    mask 0 or -1 and read off the forward images G L G^-1 of X, Z and Y: the
-    sign flips where the image is minus a letter, Y = i X Z taking one i.  The
-    phase rule is (c, -e mod 4) of the backward images G^-1 L G of X and Z.
-    """
-    bits = ([c & 1 for c, _ in forward], [c >> 1 for c, _ in forward], [int(e - (c == 3) == 2) for c, e in forward])
-    return tuple((-fx, -fz, -(fx ^ fz ^ fy)) for fx, fz, fy in bits), tuple((c, -e % 4) for c, e in backward[:2])
-
-
-_RULES = {gate: _rule(*letter_images(gate)) for gate in ONE_QUBIT_GATES}
 _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
 # entry a: the eight bits of byte a, bit k in byte k of one 8-byte word
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view("<u8").ravel()
@@ -94,6 +77,39 @@ def _indices(mask: int):
     while i >= 0:
         yield i
         i = bits.find("1", i + 1)
+
+
+_Rule = namedtuple("_Rule", "arity cols flip phases")
+
+
+def _rule(forward, backward) -> _Rule:
+    """A k-qubit gate's rewrite of its qubits' columns, signs and phases, read off its letter images.
+
+    A row's variable v is its x (even v) or z (odd v) bit at the gate's qubit
+    v >> 1, a bit of its word in `gates.letter_images`.  Words map linearly,
+    so each changed column (v, sources) is the XOR of the old columns whose
+    forward images G L G^-1 hold bit v.  The sign flips where a row's word
+    maps to minus a word, Y = i X Z taking one i: the XOR over `flip` of each
+    monomial's AND of old columns, the Moebius transform of those signs.
+    Letter l is X or Z like variable l, its rows selected by column l ^ 1.
+    Each changed phase (l, e, letters, pairs) is that of the backward image
+    G^-1 L G: e plus the old phases of `letters` plus 2 popcount(col_a &
+    (col_b >> n)) for each (a, b) in `pairs`, their columns in order.
+    """
+    width = (len(forward) + 1).bit_length() - 1
+    sources = [tuple(u for u in range(width) if forward[(1 << u) - 1][0] >> v & 1) for v in range(width)]
+    minus = [0] + [(e - (c & c >> 1 & 0x55).bit_count()) % 4 // 2 for c, e in forward]
+    flip = tuple(tuple(_indices(c)) for c in range(len(minus)) if sum(minus[d] for d in range(c + 1) if d & c == d) % 2)
+    images = [backward[(1 << l) - 1] for l in range(width)]
+    phases = tuple(
+        (l, -e % 4, tuple(_indices(c)), tuple((a ^ 1, b ^ 1) for a, b in combinations(_indices(c), 2)))
+        for l, (c, e) in enumerate(images)
+        if (c, e) != (1 << l, 0)
+    )
+    return _Rule(width // 2, tuple((v, s) for v, s in enumerate(sources) if s != (v,)), flip, phases)
+
+
+_RULES = {gate: _rule(*letter_images(gate)) for gate in ONE_QUBIT_GATES + TWO_QUBIT_GATES}
 
 
 def _column_bits(cols: list[int], lo: int, hi: int) -> list[str]:
@@ -122,8 +138,6 @@ class Tableau:
     """
 
     __slots__ = ("n", "xs", "zs", "r", "vars", "live", "kz", "kx")
-
-    _GATE_METHODS = frozenset(ONE_QUBIT_GATES + TWO_QUBIT_GATES)
 
     def __init__(self, n: int):
         if n < 1:
@@ -196,85 +210,67 @@ class Tableau:
     def __str__(self) -> str:
         return "\n".join(self.stabilizer_lines())
 
-    def _check(self, *qubits: int) -> None:
+    def _conjugate(self, kind: str, qubits: tuple) -> "Tableau":
+        rule = _RULES[kind]
+        if len(qubits) != rule.arity or len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"{kind} takes {rule.arity} distinct qubit(s), got {qubits}")
+        n, xs, zs, kx, kz = self.n, self.xs, self.zs, self.kx, self.kz
+        cols, ks = [], []  # per qubit its x and z columns, and its X and Z phases
         for q in qubits:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for n={self.n}")
-        if len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise ValueError("control and target must differ")
-
-    def _conjugate(self, rule: tuple, q: int) -> "Tableau":
-        self._check(q)
-        masks, ((cx, ex), (cz, ez)) = rule
-        x, z = self.xs[q], self.zs[q]
-        y = x & z
-        self.xs[q], self.zs[q], flip = [(x & a) ^ (z & b) ^ (y & c) for a, b, c in masks]
-        self.r ^= flip
-        # k[c]: the phase of X^(c & 1) Z^(c >> 1) as a product of rows; X Z's
-        # adds a - for each stabilizer of X's whose destabilizer is one of Z's,
-        # the pairs that anticommute when the two products merge into row order
-        k = [0, self.kx[q], self.kz[q], 0]
-        if cx == 3 or cz == 3:
-            k[3] = k[1] + k[2] + 2 * (z & (x >> self.n)).bit_count()
-        self.kx[q], self.kz[q] = (k[cx] + ex) & 3, (k[cz] + ez) & 3
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for n={n}")
+            cols += xs[q], zs[q]
+            ks += kx[q], kz[q]
+        for monomial in rule.flip:
+            m = -1
+            for v in monomial:
+                m &= cols[v]
+            self.r ^= m
+        for v, sources in rule.cols:
+            c = 0
+            for u in sources:
+                c ^= cols[u]
+            (zs if v & 1 else xs)[qubits[v >> 1]] = c
+        for l, e, letters, pairs in rule.phases:
+            for u in letters:
+                e += ks[u]
+            for a, b in pairs:
+                e += 2 * (cols[a] & (cols[b] >> n)).bit_count()
+            (kz if l & 1 else kx)[qubits[l >> 1]] = e & 3
         return self
 
     def h(self, q: int) -> "Tableau":
-        return self._conjugate(_RULES["h"], q)
+        return self._conjugate("h", (q,))
 
     def s(self, q: int) -> "Tableau":
-        return self._conjugate(_RULES["s"], q)
+        return self._conjugate("s", (q,))
 
     def sdg(self, q: int) -> "Tableau":
-        return self._conjugate(_RULES["sdg"], q)
+        return self._conjugate("sdg", (q,))
 
     def x(self, q: int) -> "Tableau":
-        return self._conjugate(_RULES["x"], q)
+        return self._conjugate("x", (q,))
 
     def y(self, q: int) -> "Tableau":
-        return self._conjugate(_RULES["y"], q)
+        return self._conjugate("y", (q,))
 
     def z(self, q: int) -> "Tableau":
-        return self._conjugate(_RULES["z"], q)
+        return self._conjugate("z", (q,))
 
     def cnot(self, c: int, t: int) -> "Tableau":
-        # X_c -> X_c X_t, Z_t -> Z_c Z_t; sign flips when x_c z_t (x_t == z_c)
-        self._check(c, t)
-        xs, zs, kx, kz, n = self.xs, self.zs, self.kx, self.kz, self.n
-        kz[t] = (kz[c] + kz[t] + 2 * (xs[c] & (xs[t] >> n)).bit_count()) & 3
-        kx[c] = (kx[c] + kx[t] + 2 * (zs[c] & (zs[t] >> n)).bit_count()) & 3
-        self.r ^= xs[c] & zs[t] & ~(xs[t] ^ zs[c])
-        xs[t] ^= xs[c]
-        zs[c] ^= zs[t]
-        return self
+        return self._conjugate("cnot", (c, t))
 
     def cz(self, c: int, t: int) -> "Tableau":
-        # X_c -> X_c Z_t, X_t -> Z_c X_t; sign flips when x_c x_t (z_c != z_t)
-        self._check(c, t)
-        xs, zs, kx, kz, n = self.xs, self.zs, self.kx, self.kz, self.n
-        kx[c], kx[t] = (
-            (kx[c] + kz[t] + 2 * (zs[c] & (xs[t] >> n)).bit_count()) & 3,
-            (kz[c] + kx[t] + 2 * (xs[c] & (zs[t] >> n)).bit_count()) & 3,
-        )
-        self.r ^= xs[c] & xs[t] & (zs[c] ^ zs[t])
-        zs[c] ^= xs[t]
-        zs[t] ^= xs[c]
-        return self
+        return self._conjugate("cz", (c, t))
 
     def swap(self, a: int, b: int) -> "Tableau":
-        self._check(a, b)
-        xs, zs, kx, kz = self.xs, self.zs, self.kx, self.kz
-        xs[a], xs[b], zs[a], zs[b] = xs[b], xs[a], zs[b], zs[a]
-        kx[a], kx[b], kz[a], kz[b] = kx[b], kx[a], kz[b], kz[a]
-        return self
+        return self._conjugate("swap", (a, b))
 
     def apply_gate(self, op: GateOp) -> "Tableau":
         """Apply one unitary gate; use `measure_z` for measurements."""
-        if op.is_measure:
-            raise ValueError("measurements need a random stream, use measure_z")
-        if op.kind not in self._GATE_METHODS:
-            raise ValueError(f"unknown gate kind {op.kind!r}")
-        return getattr(self, op.kind)(*op.qubits)
+        if op.kind not in _RULES:
+            raise ValueError(f"unknown gate kind {op.kind!r} (measurements use measure_z)")
+        return self._conjugate(op.kind, op.qubits)
 
     def _product(self, rows: int) -> tuple[int, int, int]:
         """Qubit masks x, z and phase exponent k of the product of the selected rows.
@@ -314,8 +310,9 @@ class Tableau:
         phase `kz[q]` for the constant, and the masks of the selected live
         rows; it leaves the tableau untouched.
         """
-        self._check(q)
         n, xs, zs, var, kx, kz = self.n, self.xs, self.zs, self.vars, self.kx, self.kz
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
         anti = xs[q]  # the rows that anticommute with Z_q
         stab = anti >> n
         if stab:
@@ -426,7 +423,14 @@ class Tableau:
         return 1 if k == p.k else -1
 
     def check_invariants(self) -> None:
-        """Raise TableauInvariantError unless the group structure is intact."""
+        """Raise TableauInvariantError unless the group structure is intact.
+
+        Row i must anticommute with row (i + n) mod 2n and commute with every
+        other row.  The scan checks each pair i < j once, which covers the
+        symmetric Gram matrix of the rows' symplectic form.  A Gram matrix
+        equal to the invertible standard form makes the 2n rows independent
+        over GF(2), so no rank check follows.
+        """
         n = self.n
         if any(c >> (2 * n) for c in (self.r, *self.xs, *self.zs)):
             raise TableauInvariantError(f"bits set past row {2 * n - 1}")
@@ -442,15 +446,3 @@ class Tableau:
                 j = (wrong & -wrong).bit_length() + i
                 which = "anticommute" if (anti >> j) & 1 else "commute"
                 raise TableauInvariantError(f"rows {i} and {j} unexpectedly {which}")
-        # the column rank of the 2n x 2n bit matrix is its row rank
-        pivots: dict[int, int] = {}
-        for cur in (*self.xs, *self.zs):
-            while cur:
-                b = cur.bit_length() - 1
-                if b in pivots:
-                    cur ^= pivots[b]
-                else:
-                    pivots[b] = cur
-                    break
-        if len(pivots) != 2 * n:
-            raise TableauInvariantError("generator rows are linearly dependent over GF(2)")

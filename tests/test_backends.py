@@ -31,7 +31,7 @@ from bladesim import statevector as sv
 from bladesim.backends import BACKENDS, BRANCH_EPS, _dense_backend, _ideal_project, _tally
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import circuits
-from oracles import circuit_unitary, element_from_coordinates, per_record_counts, random_dense, set_rows
+from oracles import circuit_unitary, element_from_coordinates, per_record_counts, random_dense
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 CERTAIN = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")  # no random outcome
@@ -332,15 +332,10 @@ def test_born_distribution_measure_limit():
 
 
 def test_validate_catches_corrupted_gate_rule(monkeypatch):
-    # break the tableau phase gate: wrong sign update leaves the group intact
-    # but desynchronizes it from the true state
-    def bad_s(self, q):
-        m = 1 << q
-        rows = [type(r)(r.n, r.x, r.z ^ (r.x & m), r.k) for r in self.rows]  # drops the phase flip
-        set_rows(self, rows)
-        return self
-
-    monkeypatch.setattr(bladesim.tableau.Tableau, "s", bad_s)
+    # break the tableau phase gate: S's rule without its sign flip (Y -> +X)
+    # leaves the group intact but desynchronizes it from the true state
+    rules = bladesim.tableau._RULES
+    monkeypatch.setitem(rules, "s", rules["s"]._replace(flip=()))
     circuit = parse("qubits 1\nh 0\ns 0\ns 0\nh 0\nmeasure 0\n")
     report = validate(circuit, shots=500, seed=0)
     assert not report["passed"]

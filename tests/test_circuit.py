@@ -155,6 +155,20 @@ def test_random_circuit_reproducible():
     assert all(op.qubits[0] < 4 for op in a.ops)
 
 
+@pytest.mark.parametrize(
+    "n, kinds, message",
+    [
+        (2, ("h", "t"), "unknown gate kind 't'"),
+        (2, ("measure",), "unknown gate kind 'measure'"),
+        (2, (), "no gate kind"),
+        (1, ("cnot", "swap"), "no gate kind"),
+    ],
+)
+def test_random_circuit_refuses_gate_kinds_it_cannot_draw(n, kinds, message):
+    with pytest.raises(ValueError, match=message):
+        random_clifford_circuit(n, 10, seed=0, gate_kinds=kinds)
+
+
 def test_parse_error_str_is_informative():
     try:
         parse("qubits 2\nh x")

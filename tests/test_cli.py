@@ -4,7 +4,6 @@ import pytest
 
 from bladesim.bench import KERNELS, bench_rows
 from bladesim.cli import build_parser, main, parse_sizes
-from oracles import set_rows
 
 BELL_SRC = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n"
 
@@ -74,13 +73,9 @@ def test_validate_exit_codes(bell_file, tmp_path, capsys):
 def test_validate_failure_exit_code(bell_file, capsys, monkeypatch):
     import bladesim.tableau
 
-    def bad_s(self, q):
-        m = 1 << q
-        rows = [type(r)(r.n, r.x, r.z ^ (r.x & m), r.k) for r in self.rows]
-        set_rows(self, rows)
-        return self
-
-    monkeypatch.setattr(bladesim.tableau.Tableau, "s", bad_s)
+    # S's rule without its sign flip: Y -> +X
+    rules = bladesim.tableau._RULES
+    monkeypatch.setitem(rules, "s", rules["s"]._replace(flip=()))
     src = "qubits 1\nh 0\ns 0\ns 0\nh 0\nmeasure 0\n"
     path = bell_file.parent / "corrupt_target.qc"
     path.write_text(src)

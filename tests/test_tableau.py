@@ -13,10 +13,10 @@ from bladesim import (
     TableauInvariantError,
     random_clifford_circuit,
 )
-from bladesim.circuit import ONE_QUBIT_GATES, Circuit
+from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
 from bladesim.gates import gate_words, letter_images
 from bladesim.strings import BladeString, reverse_string, string_mul
-from bladesim.tableau import _indices
+from bladesim.tableau import _RULES, _indices
 from oracles import IMAGES, RowTableau, gate_unitary, pauli_matrix_oracle, reference_stabilizer_lines, set_rows
 
 ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
@@ -144,6 +144,29 @@ def test_letter_images_equal_the_reference_table():
         forward, backward = letter_images(kind)
         assert tuple(text(*image) for image in forward) == IMAGES[kind], kind
         assert tuple(text(*image) for image in backward) == IMAGES[inverse.get(kind, kind)], kind
+
+
+def test_compiled_rules_hold_no_extra_operations():
+    # variables v = 2i + (0 for x, 1 for z) at the gate's i-th qubit: x_c, z_c,
+    # x_t, z_t = 0, 1, 2, 3; a letter's phase is listed only if it changes
+    assert list(_RULES) == list(ONE_QUBIT_GATES + TWO_QUBIT_GATES)
+    assert [_RULES[kind].arity for kind in ALL_KINDS] == [1] * 6 + [2] * 3
+    assert _RULES["h"].flip == ((0, 1),)  # x z
+    # x_c z_t (1 + x_t + z_c) over GF(2); X_c -> X_c X_t and Z_t -> Z_c Z_t, one popcount each
+    assert _RULES["cnot"] == (
+        2,
+        ((1, (1, 3)), (2, (0, 2))),
+        ((0, 3), (0, 1, 3), (0, 2, 3)),
+        ((0, 0, (0, 2), ((1, 3),)), (3, 0, (1, 3), ((0, 2),))),
+    )
+    assert _RULES["cz"].flip == ((0, 1, 2), (0, 2, 3))  # x_c x_t (z_c + z_t)
+    # the exchange alone: each column and phase copied from the other qubit
+    assert _RULES["swap"] == (
+        2,
+        ((0, (2,)), (1, (3,)), (2, (0,)), (3, (1,))),
+        (),
+        tuple((v, 0, (v ^ 2,), ()) for v in range(4)),
+    )
 
 
 def test_single_qubit_conjugation_against_oracle():
@@ -378,6 +401,10 @@ def test_gate_validation():
         t.cnot(1, 1)
     with pytest.raises(ValueError):
         t.apply_gate(GateOp("measure", (0,), 0))
+    with pytest.raises(ValueError, match="cnot takes 2"):
+        t.apply_gate(GateOp("cnot", (0,)))
+    with pytest.raises(ValueError, match="h takes 1"):
+        t.apply_gate(GateOp("h", (0, 1)))
 
 
 def test_gate_time_scales_gently():
