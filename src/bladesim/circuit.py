@@ -12,7 +12,16 @@ whitespace, keywords lowercase:
 Qubit indices are 0-based.  A measurement without "->" takes the next free
 classical slot.  A file declares at most MAX_QUBITS qubits and uses classical
 slots below MAX_SLOTS.  Files use UTF-8; LF and CRLF are both accepted on
-input and LF is emitted.  Conventional extension: ".qc".
+input and LF is emitted.  Only LF ends a line: any other CR is whitespace,
+so a file whose lines end in a lone CR is one line and is refused.
+Conventional extension: ".qc".
+
+How `parse` reads a line: one precompiled pattern, `_STATEMENT`, accepts a
+statement and reads its keyword and numbers in a single match; parse then
+checks the numbers against the header's qubit count and the slot limit and
+builds the op.  Words are read (`str.split`) only for the header, for blank
+and comment lines, and to refuse a line: `_refuse` finds the line's first
+fault in the order the grammar reads it, and that fault's column.
 """
 
 from __future__ import annotations
@@ -46,6 +55,18 @@ _ARITY = {**{g: 1 for g in ONE_QUBIT_GATES}, **{g: 2 for g in TWO_QUBIT_GATES}, 
 _TOKEN = re.compile(r"\S+")  # the words str.split() finds, with their positions
 _MAX_DIGITS = sys.int_info.default_max_str_digits  # words longer than int()'s default limit read as out of range
 _BEYOND = 10**5  # the value of every word with more than five significant digits: past every limit (2^16)
+# a statement as parse accepts it, in one match; the keywords come from the
+# tuples above.  A number is a word of at most _MAX_DIGITS digits whose value
+# has at most five (every limit is below 10^5), and its group holds its last
+# one to five digits, which carry the whole value.  Any other digit word fails
+# the match and is refused on the word path.
+_NUMBER = rf"0{{0,{_MAX_DIGITS - 5}}}([0-9]{{1,5}})"
+_STATEMENT = re.compile(
+    rf"\s*(?:({'|'.join(ONE_QUBIT_GATES)})\s+{_NUMBER}"
+    rf"|({'|'.join(TWO_QUBIT_GATES)})\s+{_NUMBER}\s+{_NUMBER}"
+    rf"|{MEASURE}\s+{_NUMBER}(?:\s+->\s+{_NUMBER})?)"
+    r"\s*(?:#.*)?"
+)
 
 
 class ParseError(BladesimError):
@@ -79,6 +100,11 @@ class GateOp:
         return self.kind == MEASURE
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool: `serialize` would write True as 'True', which no parser reads."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A parsed circuit: qubit count, operation list, classical slot count."""
@@ -89,7 +115,7 @@ class Circuit:
 
     def __post_init__(self):
         for name, value, low, high in (("n", self.n, 1, MAX_QUBITS), ("creg", self.creg, 0, MAX_SLOTS)):
-            if not (isinstance(value, int) and low <= value <= high):
+            if not (_is_int(value) and low <= value <= high):
                 raise ValueError(f"{name} must be an int in [{low}, {high}], got {value!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for i, op in enumerate(self.ops):
@@ -98,10 +124,10 @@ class Circuit:
                 raise ValueError(f"op {i}, {op}: unknown kind, expected one of {tuple(_ARITY)}")
             if len(op.qubits) != arity:
                 raise ValueError(f"op {i}, {op}: {op.kind!r} takes {arity} qubit(s)")
-            if not all(isinstance(q, int) and 0 <= q < self.n for q in op.qubits):
+            if not all(_is_int(q) and 0 <= q < self.n for q in op.qubits):
                 raise ValueError(f"op {i}, {op}: qubits must be ints in [0, {self.n})")
             if op.kind == MEASURE:
-                if not (isinstance(op.slot, int) and 0 <= op.slot < self.creg):
+                if not (_is_int(op.slot) and 0 <= op.slot < self.creg):
                     raise ValueError(f"op {i}, {op}: the slot must be an int in [0, {self.creg})")
             elif arity == 2 and op.qubits[0] == op.qubits[1]:
                 raise ValueError(f"op {i}, {op}: a two-qubit op needs two distinct qubits")
@@ -137,68 +163,105 @@ def _value_text(word: str) -> str:
     return word.lstrip("0") or "0"
 
 
+def _op(kind: str, qubits: tuple[int, ...], slot: int | None) -> GateOp:
+    """A GateOp made without GateOp.__init__, for a statement `parse` has checked."""
+    op = object.__new__(GateOp)
+    fields = op.__dict__  # a frozen dataclass refuses setattr, not writes to its __dict__
+    fields["kind"], fields["qubits"], fields["slot"] = kind, qubits, slot
+    return op
+
+
+def _refuse(lineno: int, body: str, words: list[str], n: int, next_slot: int) -> NoReturn:
+    """Raise the ParseError for a statement line that `parse` did not accept.
+
+    `words` is the line's `body`, the part before any '#', split into words;
+    `n` is 0 before the header.  The checks run in the order the grammar
+    reads the line, so the first fault in a line is the one reported.
+    """
+    head = words[0]
+    if not n:
+        _error(lineno, body, 0, "first statement must be the 'qubits' header")
+    arity = _ARITY.get(head)
+    if arity is None:
+        _error(lineno, body, 0, f"unknown keyword {head!r}")
+    if len(words) <= arity:
+        need = "expected qubit index after 'measure'" if head == MEASURE else f"'{head}' needs {arity} qubit index(es)"
+        _error(lineno, body, 0, need, after=True)
+    # a gate's extra words are refused before its qubits are read, a measurement's '->' part after
+    if head != MEASURE and len(words) > arity + 1:
+        _error(lineno, body, arity + 1, "unexpected token")
+    qubits = []
+    for k in range(1, arity + 1):
+        q = _integer(lineno, body, words, k, "qubit index")
+        if q >= n:
+            _error(lineno, body, k, f"qubit index {_value_text(words[k])} out of range for {n} qubit(s)")
+        qubits.append(q)
+    if head == MEASURE:
+        slot, at = next_slot, 0
+        if len(words) > 2:
+            if words[2] != "->":
+                _error(lineno, body, 2, "expected '->' or end of line")
+            if len(words) < 4:
+                _error(lineno, body, 2, "expected classical slot after '->'", after=True)
+            slot, at = _integer(lineno, body, words, 3, "classical slot"), 3
+            if len(words) > 4:
+                _error(lineno, body, 4, "unexpected token")
+        if slot >= MAX_SLOTS:
+            _error(lineno, body, at, f"classical slot must be below {MAX_SLOTS}")
+    elif arity == 2 and qubits[0] == qubits[1]:
+        _error(lineno, body, 2, f"'{head}' needs two distinct qubits")
+    raise AssertionError(f"line {lineno}: {body!r} is a valid statement that _STATEMENT did not accept")
+
+
 def parse(source: str) -> Circuit:
     """Parse circuit text; raises ParseError with the offending position."""
-    n: int | None = None
+    n = 0  # the qubit count, 0 until the header is read: no statement before it passes q < n
     ops: list[GateOp] = []
     next_slot = 0
+    statement = _STATEMENT.fullmatch
 
     for lineno, line in enumerate(source.split("\n"), start=1):
+        if m := statement(line):
+            one, a, two, b, c, measured, slot = m.groups()
+            if one:
+                q = int(a)
+                if q < n:
+                    ops.append(_op(one, (q,), None))
+                    continue
+            elif two:
+                q, r = int(b), int(c)
+                if q < n and r < n and q != r:
+                    ops.append(_op(two, (q, r), None))
+                    continue
+            else:
+                q = int(measured)
+                s = next_slot if slot is None else int(slot)
+                if q < n and s < MAX_SLOTS:
+                    ops.append(_op(MEASURE, (q,), s))
+                    next_slot = max(next_slot, s + 1)
+                    continue
+        # a blank or comment line, the header, or a line to refuse
         body = line.split("#", 1)[0]
         words = body.split()
         if not words:
             continue
-        head = words[0]
-        if head == "qubits":
-            if n is not None:
-                _error(lineno, body, 0, f"duplicate header (first on line {header_line})")
-            if len(words) < 2:
-                _error(lineno, body, 0, "expected qubit count after 'qubits'", after=True)
-            n, header_line = _integer(lineno, body, words, 1, "qubit count"), lineno
-            if not 1 <= n <= MAX_QUBITS:
-                _error(lineno, body, 1, f"qubit count must be 1..{MAX_QUBITS}")
-            if len(words) > 2:
-                _error(lineno, body, 2, "unexpected token after header")
-            continue
+        if words[0] != "qubits":
+            _refuse(lineno, body, words, n, next_slot)
+        if n:
+            _error(lineno, body, 0, f"duplicate header (first on line {header_line})")
+        if len(words) < 2:
+            _error(lineno, body, 0, "expected qubit count after 'qubits'", after=True)
+        n, header_line = _integer(lineno, body, words, 1, "qubit count"), lineno
+        if not 1 <= n <= MAX_QUBITS:
+            _error(lineno, body, 1, f"qubit count must be 1..{MAX_QUBITS}")
+        if len(words) > 2:
+            _error(lineno, body, 2, "unexpected token after header")
 
-        if n is None:
-            _error(lineno, body, 0, "first statement must be the 'qubits' header")
-        arity = _ARITY.get(head)
-        if arity is None:
-            _error(lineno, body, 0, f"unknown keyword {head!r}")
-        if len(words) <= arity:
-            need = "expected qubit index after 'measure'" if head == MEASURE else f"'{head}' needs {arity} qubit index(es)"
-            _error(lineno, body, 0, need, after=True)
-        # a gate's extra words are refused before its qubits are read, a measurement's '->' part after
-        if head != MEASURE and len(words) > arity + 1:
-            _error(lineno, body, arity + 1, "unexpected token")
-        qubits = []
-        for k in range(1, arity + 1):
-            q = _integer(lineno, body, words, k, "qubit index")
-            if q >= n:
-                _error(lineno, body, k, f"qubit index {_value_text(words[k])} out of range for {n} qubit(s)")
-            qubits.append(q)
-        slot = None
-        if head == MEASURE:
-            slot, at = next_slot, 0
-            if len(words) > 2:
-                if words[2] != "->":
-                    _error(lineno, body, 2, "expected '->' or end of line")
-                if len(words) < 4:
-                    _error(lineno, body, 2, "expected classical slot after '->'", after=True)
-                slot, at = _integer(lineno, body, words, 3, "classical slot"), 3
-                if len(words) > 4:
-                    _error(lineno, body, 4, "unexpected token")
-            if slot >= MAX_SLOTS:
-                _error(lineno, body, at, f"classical slot must be below {MAX_SLOTS}")
-            next_slot = max(next_slot, slot + 1)
-        elif arity == 2 and qubits[0] == qubits[1]:
-            _error(lineno, body, 2, f"'{head}' needs two distinct qubits")
-        ops.append(GateOp(head, qubits, slot))
-
-    if n is None:
+    if not n:
         raise ParseError(1, 1, "missing 'qubits' header")
-    return Circuit(n, tuple(ops), next_slot)
+    circuit = object.__new__(Circuit)  # without Circuit.__post_init__: parse has made each of its checks
+    circuit.__dict__.update(n=n, ops=tuple(ops), creg=next_slot)
+    return circuit
 
 
 def serialize(c: Circuit) -> str:

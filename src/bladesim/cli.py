@@ -27,7 +27,8 @@ from .errors import BladesimError
 
 
 def _read_circuit(path: str):
-    with open(path, encoding="utf-8") as fh:
+    # newline="": parse sees the file's own line ends, so the CLI and parse agree on every CR
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse(fh.read())
 
 

@@ -6,18 +6,21 @@ from hypothesis import given, strategies as st
 
 from bladesim import BladesimError, Circuit, GateOp, ParseError, parse, random_clifford_circuit, run, serialize
 from bladesim.backends import BACKENDS
-from bladesim.circuit import MAX_QUBITS, MAX_SLOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
+from bladesim.circuit import _STATEMENT, MAX_QUBITS, MAX_SLOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import INVALID_FILES, VALID_FILES, circuits
 from oracles import reference_parse
 
 # words a mutation inserts: keywords, integers around every limit, digits
-# outside ASCII, comments, and words of 4300 digits (int()'s default limit) and
-# of one more
+# outside ASCII, comments, words of 4300 digits (int()'s default limit) and of
+# one more, and the edges of the statement pattern: five and six significant
+# digits, leading zeros before a limit, the most leading zeros a number may
+# have, and '->' joined to a number
 MUTATION_WORDS = (
     "qubits", MEASURE, *ONE_QUBIT_GATES, *TWO_QUBIT_GATES, "->", "-", ">", "t",
     "0", "1", "2", "3", "05", "-1", "+1", "16384", "16385", "65535", "65536",
     "\uff13", "\u0661", "#", "# note", "1#", "->#x",
     "0" * 4299 + "1", "1" * 4301,
+    "99999", "100000", "000016384", "0" * 4295 + "1", "->0", "0->",
 )
 SEPARATORS = (" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2003")
 
@@ -101,6 +104,21 @@ def test_circuit_rejects_wrong_arity():
     _rejected_on_every_backend([GateOp("h", (0, 1))], r"op 0, .*'h' takes 1 qubit")
     _rejected_on_every_backend([GateOp("cnot", (0,))], r"op 0, .*'cnot' takes 2 qubit")
     _rejected_on_every_backend([GateOp("measure", (0, 1), 0)], r"op 0, .*'measure' takes 1 qubit")
+
+
+@pytest.mark.parametrize(
+    "ops, match",
+    [
+        ([GateOp("h", (False,))], r"op 0, .*'h'.*qubits must be ints in \[0, 2\)"),
+        ([GateOp("cnot", (0, True))], r"op 0, .*'cnot'.*qubits must be ints in \[0, 2\)"),
+        ([GateOp("measure", (True,), 0)], r"op 0, .*'measure'.*qubits must be ints in \[0, 2\)"),
+        ([GateOp("measure", (0,), False)], r"op 0, .*'measure'.*the slot must be an int in \[0, 1\)"),
+    ],
+    ids=["one-qubit", "two-qubit", "measured-qubit", "slot"],
+)
+def test_circuit_rejects_bool_qubits_and_slots(ops, match):
+    # serialize would write 'h False' or '-> True', which parse refuses
+    _rejected_on_every_backend(ops, match)
 
 
 def test_circuit_rejects_qubit_past_the_register():
@@ -189,13 +207,27 @@ def _outcome(parser, source: str):
 
 
 def assert_parses_like_reference(source: str) -> None:
-    """Equal circuits, or equal refusals: (line, column, message, token)."""
+    """Equal circuits, or equal refusals: (line, column, message, token).
+
+    parse builds its ops and circuit without their __init__ checks, so an
+    accepted circuit must equal the one those checks build from its fields,
+    and it must have come from one accepting path: one statement pattern
+    match per op, none from the word path.
+    """
     got, want = _outcome(parse, source), _outcome(reference_parse, source)
     if want[0] == "ValueError":  # the reference's int() past its digit limit
         assert "Exceeds the limit" in want[1], source
         assert got[0] == "ParseError" and got[3].endswith("out of range") and len(got[4]) > 4300, got[:4]
-    else:
-        assert got == want, (source, got, want)
+        return
+    assert got == want, (source, got, want)
+    if got[0] == "Circuit":
+        c = got[1]
+        checked = Circuit(c.n, c.ops, c.creg)
+        assert c == checked and hash(c) == hash(checked), source
+        for op in c.ops:
+            built = GateOp(op.kind, op.qubits, op.slot)
+            assert op == built and hash(op) == hash(built) and type(op.qubits) is tuple, (source, op)
+        assert sum(1 for line in source.split("\n") if _STATEMENT.fullmatch(line)) == len(c.ops), source
 
 
 def _mutate(rng: random.Random, source: str) -> str:
@@ -304,6 +336,9 @@ def test_a_word_of_4300_digits_still_reads_as_its_value():
         (1, MAX_SLOTS + 1, "creg"),
         (1, 2**40, "creg"),
         (1, 1.0, "creg"),
+        (True, 0, "n"),
+        (1, True, "creg"),
+        (1, False, "creg"),
     ],
 )
 def test_circuit_refuses_n_and_creg_past_the_parser_limits(n, creg, field):

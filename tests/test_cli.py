@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import bladesim.cli
+from bladesim import ParseError, parse
 from bladesim.bench import KERNELS, bench_rows
 from bladesim.cli import build_parser, main, parse_sizes
 
@@ -106,6 +108,36 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: line 2")
+
+
+@pytest.mark.parametrize(
+    "source, accepted",
+    [
+        ("qubits 2\r\nh 0\r\ncnot 0 1\r\nmeasure 0\r\n", True),  # CRLF: each line's CR is trailing whitespace
+        ("qubits 2\rh 0\rmeasure 0\r", False),  # lone CRs end no line: one line, refused after the header
+        ("qubits 1\nh\r0\n", True),  # a CR inside a line is whitespace: h 0
+    ],
+    ids=["crlf", "lone-cr", "in-line-cr"],
+)
+def test_the_cli_reads_carriage_returns_as_parse_does(source, accepted, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cr.qc"
+    path.write_bytes(source.encode("utf-8"))
+    seen, real_run = [], bladesim.cli.backends.run
+
+    def run(circuit, **kwargs):
+        seen.append(circuit)
+        return real_run(circuit, **kwargs)
+
+    monkeypatch.setattr(bladesim.cli.backends, "run", run)
+    code = main(["run", str(path)])
+    try:
+        want = parse(source)
+    except ParseError as err:
+        assert not accepted
+        assert (code, capsys.readouterr().err, seen) == (2, f"parse error: {err}\n", [])
+    else:
+        assert accepted
+        assert (code, seen) == (0, [want])
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
