@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from .circuit import MAX_QUBITS
+from .circuit import MAX_QUBITS, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from .strings import BladeString, PauliString, pauli_mul, string_mul
 from .tableau import Tableau
 
@@ -56,11 +56,16 @@ def time_pauli_mul(n: int, reps: int = 20, seed: int = 0) -> list[float]:
     return _time_products(n, reps, seed, random_pauli, pauli_mul)
 
 
-def time_tableau_gate(n: int, reps: int = 20, seed: int = 0) -> list[float]:
-    """Per-gate wall times in ns on a fresh tableau (H on random qubits)."""
+def time_tableau_gate(n: int, reps: int = 20, seed: int = 0, kind: str = "h") -> list[float]:
+    """Per-gate wall times in ns on a fresh tableau: one gate kind on random qubits, distinct for a pair."""
+    if kind not in ONE_QUBIT_GATES + TWO_QUBIT_GATES:
+        raise ValueError(f"unknown gate kind {kind!r}")
     rng = np.random.default_rng([seed, n])
-    qubits = rng.integers(0, n, size=CALLS_PER_REP)
-    return _time_calls(Tableau(n).h, [(int(q),) for q in qubits], reps)
+    if kind in ONE_QUBIT_GATES:
+        arglists = [(int(q),) for q in rng.integers(0, n, size=CALLS_PER_REP)]
+    else:  # numpy refuses a pair at n = 1
+        arglists = [tuple(map(int, rng.choice(n, size=2, replace=False))) for _ in range(CALLS_PER_REP)]
+    return _time_calls(getattr(Tableau(n), kind), arglists, reps)
 
 
 def bench_rows(sizes, reps: int = 20, kernels=KERNELS, seed: int = 0) -> list[dict]:

@@ -38,8 +38,12 @@ MAX_SIZE = 2**24
 
 
 def _parse_size_item(item: str) -> int:
+    try:
+        value = int(item[2:] if item.startswith("2^") else item)
+    except ValueError:
+        raise ValueError(f"bad size {item!r}") from None
     # clamping the exponent keeps 2^K for huge K from building a huge int
-    n = 2 ** min(int(item[2:]), 64) if item.startswith("2^") else int(item)
+    n = 2 ** min(value, 64) if item.startswith("2^") else value
     if n > MAX_SIZE:
         raise ValueError(f"size {item!r} is above the limit 2^24")
     return n
@@ -86,10 +90,11 @@ def report_text(report) -> str:
     would be (`_bit_rows`); any other array is written as its `tolist()`.  A
     list of lists of numbers, bools and None (a state vector's [re, im]
     pairs, or records as lists) is json's compact text, broken into lines at
-    its brackets and commas, and a value that is no list or dict, or is
-    empty, is json's compact text.  A dict with other keys is json's own
-    text with its lines moved to the value's depth: json escapes newlines
-    inside strings, so each newline it writes is indent.
+    its brackets and commas.  A list of str (a state's stabilizer lines) is
+    its escaped items joined by line breaks, and a value that is no list or
+    dict, or is empty, is json's compact text.  A dict with other keys is
+    json's own text with its lines moved to the value's depth: json escapes
+    newlines inside strings, so each newline it writes is indent.
     """
     return "".join(_report_pieces(report))
 
@@ -119,6 +124,9 @@ def _encode(value, newline: str, out: list) -> None:
         out.append(newline + "}")
     elif isinstance(value, dict):
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+    elif type(value) is list and set(map(type, value)) == {str}:
+        # a tableau's stabilizer lines: each item is one escaped string, so one join writes the list
+        out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + newline + "]")
     elif (
         type(value) is list
         and set(map(type, value)) == {list}

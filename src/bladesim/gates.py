@@ -85,8 +85,9 @@ def letter_images(kind: str) -> tuple[tuple, tuple]:
         w, cw = BladeString(k, z, x), (-1j) ** (x & z).bit_count()  # X = e2, Z = e1, Y = -i e1 e2
         terms: dict = {}
         for cl, wl in left:
+            lw = string_mul(wl, w)
             for cr, wr in right:
-                p = string_mul(string_mul(wl, w), wr)
+                p = string_mul(lw, wr)
                 terms[p.e1, p.e2] = terms.get((p.e1, p.e2), 0) + cl * cw * cr * p.sign
         (((e1, e2), coef),) = [t for t in terms.items() if abs(t[1]) > 0.5]
         code = sum((e2 >> i & 1) << 2 * i | (e1 >> i & 1) << 2 * i + 1 for i in range(k))

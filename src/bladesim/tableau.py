@@ -9,6 +9,11 @@ row i's sign (set for -).  A gate rewrites only its qubits' columns, a few
 operations on 2n-bit integers whatever the rows hold, read once off its blade
 words (`gates.letter_images`): XORs of the old columns, and a sign flip that
 is an XOR of their ANDs (H swaps the columns and flips the Y rows' signs).
+Each rule (`_RULES`, data) is written out at import as one straight-line
+Python function (`_source`, then `_compile`), which binds the old columns
+and phases it reads, XORs its flip monomials into `r` and writes each changed
+column and phase in one statement; `_GATES` holds these, and every gate call
+runs one.  SWAP comes out as eight copies and nothing else.
 
 A row's sign is its constant bit times (-1) to the parity of a GF(2)
 variable mask, `vars[i]`: bit r of the mask stands for the r-th random
@@ -112,6 +117,80 @@ def _rule(forward, backward) -> _Rule:
 _RULES = {gate: _rule(*letter_images(gate)) for gate in ONE_QUBIT_GATES + TWO_QUBIT_GATES}
 
 
+def _refuse(kind: str, arity: int, n: int, qubits: tuple) -> None:
+    """Raise the ValueError for a gate call on bad qubits: a wrong count or a repeat first, then the first out of range."""
+    if len(qubits) != arity or len(set(qubits)) != arity:
+        raise ValueError(f"{kind} takes {arity} distinct qubit(s), got {qubits}")
+    q = next(q for q in qubits if not 0 <= q < n)
+    raise ValueError(f"qubit {q} out of range for n={n}")
+
+
+def _source(kind: str, rule: _Rule) -> str:
+    """The Python text of `def kind(t, qubits)`, the rule written out as straight-line code.
+
+    After the checks (`_refuse` on failure) it binds `c{v}`, the old column
+    of variable v, and `k{l}`, the old phase of letter l, for those the rule
+    reads; then it XORs the flip monomials into `t.r`, writes each changed
+    column as an XOR of old columns and each changed phase as its sum mod 4.
+    A column or phase that only moves is a plain copy, so SWAP is eight
+    assignments.
+    """
+    arity = rule.arity
+    qs = [f"q{i}" for i in range(arity)]
+    reads = {v for monomial in rule.flip for v in monomial}
+    reads.update(u for _, sources in rule.cols for u in sources)
+    reads.update(v for *_, pairs in rule.phases for pair in pairs for v in pair)
+    letters = sorted({u for _, _, used, _ in rule.phases for u in used})
+    lists = sorted({v & 1 for v in reads} | {v & 1 for v, _ in rule.cols})
+    signs = sorted({l & 1 for l in letters} | {l & 1 for l, *_ in rule.phases})
+
+    cols, ks = ("xs", "zs"), ("kx", "kz")
+
+    def cell(names, v):  # variable or letter v: its x (even v) or z (odd v) entry at the gate's qubit v >> 1
+        return f"{names[v & 1]}[q{v >> 1}]"
+
+    in_range = " and ".join(f"0 <= {q} < n" for q in qs)
+    checks = [f"not ({in_range})"] + [f"{a} == {b}" for a, b in combinations(qs, 2)]
+    lines = [
+        f"def {kind}(t, qubits):",
+        f"    if len(qubits) != {arity}:",
+        f"        _refuse({kind!r}, {arity}, t.n, qubits)",
+        f"    {', '.join(qs)}{',' if arity == 1 else ''} = qubits",
+        "    n = t.n",
+        f"    if {' or '.join(checks)}:",
+        f"        _refuse({kind!r}, {arity}, n, qubits)",
+    ]
+    lines += [f"    {cols[i]} = t.{cols[i]}" for i in lists]
+    lines += [f"    {ks[i]} = t.{ks[i]}" for i in signs]
+    lines += [f"    c{v} = {cell(cols, v)}" for v in sorted(reads)]
+    lines += [f"    k{l} = {cell(ks, l)}" for l in letters]
+    if rule.flip:
+        terms = [" & ".join(f"c{v}" for v in monomial) for monomial in rule.flip]
+        if len(terms) > 1:
+            terms = [f"({m})" if " " in m else m for m in terms]
+        lines.append(f"    t.r ^= {' ^ '.join(terms)}")
+    lines += [f"    {cell(cols, v)} = {' ^ '.join(f'c{u}' for u in sources)}" for v, sources in rule.cols]
+    for l, e, used, pairs in rule.phases:
+        terms = [f"k{u}" for u in used] + [f"2 * (c{a} & (c{b} >> n)).bit_count()" for a, b in pairs]
+        if e or not terms:
+            terms.append(str(e))
+        value = terms[0] if len(terms) == 1 and not pairs else f"({' + '.join(terms)}) & 3"
+        lines.append(f"    {cell(ks, l)} = {value}")
+    lines.append("    return t")
+    return "\n".join(lines) + "\n"
+
+
+def _compile(kind: str, rule: _Rule):
+    """The gate function `_source` writes for the rule, built by `exec` as `dataclasses` builds its methods."""
+    namespace = {"_refuse": _refuse}
+    exec(compile(_source(kind, rule), f"<tableau rule {kind}>", "exec"), namespace)
+    return namespace[kind]
+
+
+# every gate call, through `apply_gate` or a named method, runs its kind's function here
+_GATES = {kind: _compile(kind, rule) for kind, rule in _RULES.items()}
+
+
 def _column_bits(cols: list[int], lo: int, hi: int) -> list[str]:
     """Bits lo..hi-1 of each column as a '0'/'1' string, bit hi-1 first."""
     w = hi - lo
@@ -210,67 +289,39 @@ class Tableau:
     def __str__(self) -> str:
         return "\n".join(self.stabilizer_lines())
 
-    def _conjugate(self, kind: str, qubits: tuple) -> "Tableau":
-        rule = _RULES[kind]
-        if len(qubits) != rule.arity or len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise ValueError(f"{kind} takes {rule.arity} distinct qubit(s), got {qubits}")
-        n, xs, zs, kx, kz = self.n, self.xs, self.zs, self.kx, self.kz
-        cols, ks = [], []  # per qubit its x and z columns, and its X and Z phases
-        for q in qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
-            cols += xs[q], zs[q]
-            ks += kx[q], kz[q]
-        for monomial in rule.flip:
-            m = -1
-            for v in monomial:
-                m &= cols[v]
-            self.r ^= m
-        for v, sources in rule.cols:
-            c = 0
-            for u in sources:
-                c ^= cols[u]
-            (zs if v & 1 else xs)[qubits[v >> 1]] = c
-        for l, e, letters, pairs in rule.phases:
-            for u in letters:
-                e += ks[u]
-            for a, b in pairs:
-                e += 2 * (cols[a] & (cols[b] >> n)).bit_count()
-            (kz if l & 1 else kx)[qubits[l >> 1]] = e & 3
-        return self
-
     def h(self, q: int) -> "Tableau":
-        return self._conjugate("h", (q,))
+        return _GATES["h"](self, (q,))
 
     def s(self, q: int) -> "Tableau":
-        return self._conjugate("s", (q,))
+        return _GATES["s"](self, (q,))
 
     def sdg(self, q: int) -> "Tableau":
-        return self._conjugate("sdg", (q,))
+        return _GATES["sdg"](self, (q,))
 
     def x(self, q: int) -> "Tableau":
-        return self._conjugate("x", (q,))
+        return _GATES["x"](self, (q,))
 
     def y(self, q: int) -> "Tableau":
-        return self._conjugate("y", (q,))
+        return _GATES["y"](self, (q,))
 
     def z(self, q: int) -> "Tableau":
-        return self._conjugate("z", (q,))
+        return _GATES["z"](self, (q,))
 
     def cnot(self, c: int, t: int) -> "Tableau":
-        return self._conjugate("cnot", (c, t))
+        return _GATES["cnot"](self, (c, t))
 
     def cz(self, c: int, t: int) -> "Tableau":
-        return self._conjugate("cz", (c, t))
+        return _GATES["cz"](self, (c, t))
 
     def swap(self, a: int, b: int) -> "Tableau":
-        return self._conjugate("swap", (a, b))
+        return _GATES["swap"](self, (a, b))
 
     def apply_gate(self, op: GateOp) -> "Tableau":
         """Apply one unitary gate; use `measure_z` for measurements."""
-        if op.kind not in _RULES:
+        gate = _GATES.get(op.kind)
+        if gate is None:
             raise ValueError(f"unknown gate kind {op.kind!r} (measurements use measure_z)")
-        return self._conjugate(op.kind, op.qubits)
+        return gate(self, op.qubits)
 
     def _product(self, rows: int) -> tuple[int, int, int]:
         """Qubit masks x, z and phase exponent k of the product of the selected rows.

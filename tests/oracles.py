@@ -12,6 +12,9 @@ table of letter images, which the images the tableau derives from the gates'
 blade words must equal.  `set_rows` writes rows into a column tableau.
 `product_phases` finds every letter's phase by `Tableau._product`, the
 column scan that the stored phases `kz` and `kx` replace.
+`interpret_rule` applies a tableau rule entry by entry, the interpreter the
+gates ran before each rule was compiled to one straight-line function
+(`tableau._compile`); every compiled gate must leave its tableau.
 `reference_stabilizer_lines` is `Tableau.stabilizer_lines` as it was before it
 built the letters as one byte matrix: each column's bits read as an octal
 string, the per-column letters transposed through `zip`.
@@ -349,6 +352,40 @@ def set_rows(t, rows) -> None:
 def product_phases(t) -> tuple[list[int], list[int]]:
     """Each qubit's (kz, kx): the phases of Z_q and X_q as products of the rows their columns select."""
     return [t._product(t._swap_halves(c))[2] for c in t.xs], [t._product(t._swap_halves(c))[2] for c in t.zs]
+
+
+def interpret_rule(t, kind: str, rule, qubits: tuple):
+    """Apply a `tableau._Rule` to a column tableau entry by entry, the loop every gate ran before the rules were compiled.
+
+    The checks come first, in their order: the qubit count or a repeat, then
+    each qubit's range.  The kind names the gate in the refusal's message.
+    """
+    if len(qubits) != rule.arity or len(qubits) == 2 and qubits[0] == qubits[1]:
+        raise ValueError(f"{kind} takes {rule.arity} distinct qubit(s), got {qubits}")
+    n, xs, zs, kx, kz = t.n, t.xs, t.zs, t.kx, t.kz
+    cols, ks = [], []  # per qubit its x and z columns, and its X and Z phases
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
+        cols += xs[q], zs[q]
+        ks += kx[q], kz[q]
+    for monomial in rule.flip:
+        m = -1
+        for v in monomial:
+            m &= cols[v]
+        t.r ^= m
+    for v, sources in rule.cols:
+        c = 0
+        for u in sources:
+            c ^= cols[u]
+        (zs if v & 1 else xs)[qubits[v >> 1]] = c
+    for l, e, letters, pairs in rule.phases:
+        for u in letters:
+            e += ks[u]
+        for a, b in pairs:
+            e += 2 * (cols[a] & (cols[b] >> n)).bit_count()
+        (kz if l & 1 else kx)[qubits[l >> 1]] = e & 3
+    return t
 
 
 _OCTAL_LETTERS = str.maketrans("0123", "".join(_LETTERS))  # letter code x + 2z as a digit

@@ -335,7 +335,7 @@ def test_validate_catches_corrupted_gate_rule(monkeypatch):
     # break the tableau phase gate: S's rule without its sign flip (Y -> +X)
     # leaves the group intact but desynchronizes it from the true state
     rules = bladesim.tableau._RULES
-    monkeypatch.setitem(rules, "s", rules["s"]._replace(flip=()))
+    monkeypatch.setitem(bladesim.tableau._GATES, "s", bladesim.tableau._compile("s", rules["s"]._replace(flip=())))
     circuit = parse("qubits 1\nh 0\ns 0\ns 0\nh 0\nmeasure 0\n")
     report = validate(circuit, shots=500, seed=0)
     assert not report["passed"]

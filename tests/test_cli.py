@@ -29,6 +29,11 @@ def test_parse_sizes():
     assert parse_sizes("2^24") == [2**24]
     with pytest.raises(ValueError, match="limit 2\\^24"):
         parse_sizes("2^25")
+    # each refused item is named, not int()'s message about its digits
+    for text, item in [("abc", "abc"), ("2^x", "2^x"), ("4,,8", ""), ("", ""), ("2^3..z", "z")]:
+        with pytest.raises(ValueError) as err:
+            parse_sizes(text)
+        assert str(err.value) == f"bad size {item!r}", text
 
 
 def test_run_writes_report(bell_file, tmp_path, capsys):
@@ -77,7 +82,7 @@ def test_validate_failure_exit_code(bell_file, capsys, monkeypatch):
 
     # S's rule without its sign flip: Y -> +X
     rules = bladesim.tableau._RULES
-    monkeypatch.setitem(rules, "s", rules["s"]._replace(flip=()))
+    monkeypatch.setitem(bladesim.tableau._GATES, "s", bladesim.tableau._compile("s", rules["s"]._replace(flip=())))
     src = "qubits 1\nh 0\ns 0\ns 0\nh 0\nmeasure 0\n"
     path = bell_file.parent / "corrupt_target.qc"
     path.write_text(src)
@@ -182,6 +187,12 @@ def test_bad_input_exits_2_with_a_message(argv, bell_file, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes, item", [("abc", "abc"), ("2^x", "2^x"), ("4,,8", ""), ("", "")])
+def test_bad_size_is_named(sizes, item, capsys):
+    assert main(["bench", "--sizes", sizes]) == 2
+    assert capsys.readouterr().err == f"error: bad size {item!r}\n"
 
 
 def test_bench_single_point(tmp_path):

@@ -123,6 +123,12 @@ def test_failing_validate_report(monkeypatch):
         [{1: "int key in a list"}],
         [{"b": 1, "a": [[1, 2]]}],
         ["+XX", "-iZY"],
+        ['quote "', "back\\slash", "new\nline", "caf\u00e9", "line\u2028separator", "\x00\x1f", "\U0001f600"],
+        ["one"],
+        ["+" + "XYZI" * 32 + "X"] * 128,  # 128 stabilizer lines of 129 letters
+        [["a", "b"], "c"],
+        ["a", 1],
+        ("tu", "ple"),
         [{"name": "a", "passed": True}, {"name": "b", "passed": False}],
         [[], ["a"], [[]], {}],
         [[[1]], [[2]]],

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -16,8 +17,16 @@ from bladesim import (
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
 from bladesim.gates import gate_words, letter_images
 from bladesim.strings import BladeString, reverse_string, string_mul
-from bladesim.tableau import _RULES, _indices
-from oracles import IMAGES, RowTableau, gate_unitary, pauli_matrix_oracle, reference_stabilizer_lines, set_rows
+from bladesim.tableau import _GATES, _RULES, _compile, _indices, _source
+from oracles import (
+    IMAGES,
+    RowTableau,
+    gate_unitary,
+    interpret_rule,
+    pauli_matrix_oracle,
+    reference_stabilizer_lines,
+    set_rows,
+)
 
 ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
 
@@ -167,6 +176,101 @@ def test_compiled_rules_hold_no_extra_operations():
         (),
         tuple((v, 0, (v ^ 2,), ()) for v in range(4)),
     )
+    text = {kind: _source(kind, _RULES[kind]) for kind in ALL_KINDS}
+    # the compiled exchange copies four columns and four phases and computes nothing
+    assert not [token for token in ("&", "^", "bit_count", "t.r") if token in text["swap"]]
+    copies = re.findall(r"^    (?:[xz]s\[q\d\] = c\d|k[xz]\[q\d\] = k\d)$", text["swap"], re.M)
+    assert len(copies) == 8, text["swap"]
+    assert re.findall(r"^    t\.r \^= .*$", text["cnot"], re.M) == ["    t.r ^= (c0 & c3) ^ (c0 & c1 & c3) ^ (c0 & c2 & c3)"]
+    for kind in ("x", "y", "z"):  # a Pauli gate only flips signs and phases
+        assert not re.search(r"^    [xz]s\[", text[kind], re.M), text[kind]
+
+
+# 2n crosses the 64-bit word edges at 32 and 64 qubits
+DIFFERENTIAL_SIZES = (1, 2, 31, 32, 33, 64, 65, 130)
+
+
+def _scrambled(n: int, seed: int) -> Tableau:
+    """A tableau after random gates and random measurements: mixed columns, signs and phases."""
+    rng = random.Random(seed)
+    t = Tableau(n)
+    kinds = ALL_KINDS if n > 1 else ONE_QUBIT_GATES
+    for _ in range(3 * n + 8):
+        kind = rng.choice(kinds)
+        getattr(t, kind)(*rng.sample(range(n), _RULES[kind].arity))
+        if rng.random() < 0.2:
+            t.measure(rng.randrange(n), lambda: (rng.getrandbits(1), 0))
+    return t
+
+
+def _disagreements(kind: str, gate, rule) -> list:
+    """Every (n, qubits) at which `gate` and `interpret_rule` leave a scrambled tableau differently."""
+    found = []
+    for n in DIFFERENTIAL_SIZES:
+        if n < rule.arity:
+            continue
+        t, rng = _scrambled(n, seed=n), random.Random(n)
+        picks = [(0,), (n - 1,)] if rule.arity == 1 else [(0, n - 1), tuple(rng.sample(range(n), 2))]
+        for qubits in picks + [q[::-1] for q in picks]:
+            got, want = gate(t.copy(), qubits), interpret_rule(t.copy(), kind, rule, qubits)
+            if (got.xs, got.zs, got.r, got.kx, got.kz) != (want.xs, want.zs, want.r, want.kx, want.kz):
+                found.append((n, qubits))
+    return found
+
+
+def test_compiled_gates_match_the_rule_interpreter():
+    for kind in ALL_KINDS:
+        assert _disagreements(kind, _GATES[kind], _RULES[kind]) == [], kind
+
+
+def test_dropping_a_flip_monomial_fails_the_differential_check():
+    mutants = 0
+    for kind in ALL_KINDS:
+        rule = _RULES[kind]
+        for i in range(len(rule.flip)):
+            mutant = _compile(kind, rule._replace(flip=rule.flip[:i] + rule.flip[i + 1 :]))
+            assert _disagreements(kind, mutant, rule), (kind, rule.flip[i])
+            mutants += 1
+    assert mutants == 13
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+def test_compiled_gates_refuse_as_the_interpreter_did():
+    n = 3
+    for kind in ALL_KINDS:
+        rule = _RULES[kind]
+        if rule.arity == 1:
+            calls = [(), (0, 1), (1, 1), (n,), (-1,)]
+        else:  # a repeat is named before a range, the first bad qubit before the second
+            calls = [(0,), (0, 1, 2), (1, 1), (n, n), (0, n), (n, 0), (-1, 0), (0, -1), (n, -1), (-1, n)]
+        for qubits in calls:
+            t = _scrambled(n, seed=7)
+            before = (list(t.xs), list(t.zs), t.r, list(t.kx), list(t.kz))
+            message = _refusal(lambda: _GATES[kind](t, qubits))
+            assert message == _refusal(lambda: interpret_rule(t.copy(), kind, rule, qubits)), (kind, qubits)
+            assert (t.xs, t.zs, t.r, t.kx, t.kz) == before, (kind, qubits)  # refused before any write
+            assert message == _refusal(lambda: t.apply_gate(GateOp(kind, qubits))), (kind, qubits)
+
+
+def test_every_gate_call_runs_its_compiled_function(monkeypatch):
+    called = []
+    for kind in ALL_KINDS:
+        def record(t, qubits, kind=kind, gate=_GATES[kind]):
+            called.append(kind)
+            return gate(t, qubits)
+
+        monkeypatch.setitem(_GATES, kind, record)
+    t = Tableau(2)
+    for kind in ALL_KINDS:
+        qubits = (0, 1)[: _RULES[kind].arity]
+        assert getattr(t, kind)(*qubits) is t
+        assert t.apply_gate(GateOp(kind, qubits)) is t
+    assert called == [kind for kind in ALL_KINDS for _ in range(2)]
 
 
 def test_single_qubit_conjugation_against_oracle():
@@ -415,6 +519,19 @@ def test_gate_time_scales_gently():
     pairs = [[time_tableau_gate(n, reps=1, seed=1)[0] for n in (512, 1024)] for _ in range(30)]
     t512, t1024 = np.median(pairs, axis=0)
     assert t1024 / t512 <= 5.0, (t512, t1024)
+
+
+def test_gate_timer_runs_every_kind():
+    from bladesim.bench import time_tableau_gate
+
+    for kind in ALL_KINDS:
+        for n in (2, 65):
+            samples = time_tableau_gate(n, reps=2, seed=3, kind=kind)
+            assert len(samples) == 2 and all(s > 0 for s in samples), (kind, n)
+    with pytest.raises(ValueError):
+        time_tableau_gate(1, kind="cnot")
+    with pytest.raises(ValueError, match="unknown gate kind 'measure'"):
+        time_tableau_gate(4, kind="measure")
 
 
 def test_deterministic_measure_time_scales_gently():
