@@ -216,40 +216,90 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [statevector_pairs(row) for row in np.asarray(m)]
 
 
+CODE_BITS = 64  # outcomes read as one uint64 code; more take the byte-row Counter
+
+
+def _codes(records: np.ndarray, columns) -> np.ndarray:
+    """One uint64 per row of the records: its bits in `columns`, at most CODE_BITS of them, the first the top bit.
+
+    Codes therefore sort as the rows' bit strings do; `_code_rows` reads them back.
+    """
+    codes = np.zeros(len(records), dtype=np.uint64)
+    for bit, m in zip(range(CODE_BITS - 1, -1, -1), columns):
+        column = records[:, m].astype(np.uint64)
+        column <<= np.uint64(bit)
+        codes |= column
+    return codes
+
+
+def _code_rows(codes: np.ndarray, width: int) -> np.ndarray:
+    """(len(codes), width) uint8: the bits `_codes` read into the codes, first column first."""
+    return np.unpackbits(codes.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=width)
+
+
+def _registers(creg: int, slots: list[int], outcomes: np.ndarray) -> list[bytes]:
+    """One creg-byte register per row of `outcomes`, whose columns fill `slots`; every other slot is b"0"."""
+    reg = np.full((len(outcomes), creg), ord("0"), dtype=np.uint8)
+    reg[:, slots] = outcomes + ord("0")
+    return reg.view(f"S{creg}").ravel().tolist()
+
+
 def _counts(circuit: Circuit, records: np.ndarray) -> dict[str, int]:
     """Shots per classical-register string, slot 0 leftmost, from the (shots, measurements) records.
 
-    A slot shows the last measurement that writes it, "0" if none does.  The
-    registers are built as byte rows, MAX_SHOTS cells at a time, and counted.
+    A slot shows the last measurement that writes it, "0" if none does.  Up
+    to CODE_BITS written slots, each shot's written outcomes are one uint64
+    code (`_codes`), one `np.unique` counts the codes, and a register is
+    built only for each distinct code: the counts come in register order.
+    Past that, each shot's register is built as a byte row and a `Counter`
+    tallies them, in order of first appearance.  Registers are built
+    MAX_SHOTS cells at a time.
     """
     creg = circuit.creg
     if not creg:
         return {"": len(records)}
     measures = [op for op in circuit.ops if op.is_measure]
     last = {op.slot: m for m, op in enumerate(measures)}  # a later write replaces an earlier one
-    slots, writers = list(last), list(last.values())
-    counts = Counter()
+    slots = sorted(last)
+    writers = [last[slot] for slot in slots]
     chunk = max(1, MAX_SHOTS // creg)
-    for first in range(0, len(records), chunk):
-        part = records[first : first + chunk]
-        reg = np.full((len(part), creg), ord("0"), dtype=np.uint8)
-        reg[:, slots] = part[:, writers] + ord("0")
-        counts.update(reg.view(f"S{creg}").ravel().tolist())
-    return {key.decode(): count for key, count in counts.items()}
+    if len(slots) <= CODE_BITS:
+        distinct, tallies = np.unique(_codes(records, writers), return_counts=True)
+        keys = []
+        for first in range(0, len(distinct), chunk):
+            keys += _registers(creg, slots, _code_rows(distinct[first : first + chunk], len(slots)))
+        tallies = tallies.tolist()
+    else:
+        counts = Counter()
+        for first in range(0, len(records), chunk):
+            counts.update(_registers(creg, slots, records[first : first + chunk, writers]))
+        keys, tallies = counts.keys(), counts.values()
+    return {key.decode(): count for key, count in zip(keys, tallies)}
 
 
 def _tally(records: np.ndarray) -> dict[tuple, int]:
     """{record: shots} over the (shots, measurements) records, in order of first appearance.
 
-    Each row is keyed by its bits packed into bytes, one `Counter` counts the
-    keys, and the distinct keys are unpacked together; a record is a tuple
-    of Python ints, as the report prints it.
+    Up to CODE_BITS measurements each row is one uint64 code (`_codes`): one
+    `np.unique` counts the codes, and each distinct code's first row orders
+    them.  Wider rows are keyed by their bits packed into bytes and one
+    `Counter` counts the keys.  The distinct records are unpacked together;
+    a record is a tuple of Python ints, as the report prints it.
     """
-    packed = np.ascontiguousarray(np.packbits(records, axis=1))
-    counts = Counter(packed.view(f"V{packed.shape[1]}").ravel().tolist())
-    distinct = np.frombuffer(b"".join(counts), dtype=np.uint8).reshape(len(counts), -1)
-    rows = np.unpackbits(distinct, axis=1, count=records.shape[1]).tolist()
-    return {tuple(row): count for row, count in zip(rows, counts.values())}
+    width = records.shape[1]
+    if width <= CODE_BITS:
+        codes = _codes(records, range(width))
+        distinct, counts = np.unique(codes, return_counts=True)
+        first = np.full(len(distinct), len(codes))
+        np.minimum.at(first, np.searchsorted(distinct, codes), np.arange(len(codes)))
+        order = np.argsort(first)
+        rows, counts = _code_rows(distinct[order], width), counts[order].tolist()
+    else:
+        packed = np.ascontiguousarray(np.packbits(records, axis=1))
+        tally = Counter(packed.view(f"V{packed.shape[1]}").ravel().tolist())
+        distinct = np.frombuffer(b"".join(tally), dtype=np.uint8).reshape(len(tally), -1)
+        rows, counts = np.unpackbits(distinct, axis=1, count=width), tally.values()
+    return {tuple(row): count for row, count in zip(rows.tolist(), counts)}
 
 
 def _walk(circuit: Circuit, state, step, project, split, weight):

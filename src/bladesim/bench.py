@@ -10,7 +10,8 @@ from .circuit import MAX_QUBITS, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from .strings import BladeString, PauliString, pauli_mul, string_mul
 from .tableau import Tableau
 
-KERNELS = ("pauli-mul", "tableau-gate")
+KERNELS = ("pauli-mul", "tableau-gate", "string-mul")
+DEFAULT_KERNELS = ("pauli-mul", "tableau-gate")  # what `bladesim bench --kernel both` times
 CALLS_PER_REP = 4  # products or gates timed back to back in one rep
 
 
@@ -68,7 +69,7 @@ def time_tableau_gate(n: int, reps: int = 20, seed: int = 0, kind: str = "h") ->
     return _time_calls(getattr(Tableau(n), kind), arglists, reps)
 
 
-def bench_rows(sizes, reps: int = 20, kernels=KERNELS, seed: int = 0) -> list[dict]:
+def bench_rows(sizes, reps: int = 20, kernels=DEFAULT_KERNELS, seed: int = 0) -> list[dict]:
     if reps < 1:
         raise ValueError("need at least one repetition")
     for kernel in kernels:
@@ -76,7 +77,7 @@ def bench_rows(sizes, reps: int = 20, kernels=KERNELS, seed: int = 0) -> list[di
             raise ValueError(f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")
     rows = []
     for kernel in kernels:
-        timer = time_pauli_mul if kernel == "pauli-mul" else time_tableau_gate
+        timer = {"pauli-mul": time_pauli_mul, "tableau-gate": time_tableau_gate, "string-mul": time_string_mul}[kernel]
         for n in sizes:
             if kernel == "tableau-gate" and n > MAX_QUBITS:
                 continue

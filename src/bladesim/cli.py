@@ -189,7 +189,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    kernels = bench.KERNELS if args.kernel == "both" else (args.kernel,)
+    kernels = bench.DEFAULT_KERNELS if args.kernel == "both" else (args.kernel,)
     sizes = parse_sizes(args.sizes)
     rows = bench.bench_rows(sizes, reps=args.reps, kernels=kernels, seed=args.seed)
     if len(rows) < len(sizes) * len(kernels):

@@ -88,13 +88,26 @@ def string_mul(a: BladeString, b: BladeString) -> BladeString:
         raise DimensionMismatchError(f"blade strings on {a.n} and {b.n} qubits")
     flips = (a.e2 & b.e1).bit_count()
     sign = a.sign * b.sign * (-1 if flips & 1 else 1)
-    return BladeString(a.n, a.e1 ^ b.e1, a.e2 ^ b.e2, sign)
+    return _blade(a.n, a.e1 ^ b.e1, a.e2 ^ b.e2, sign)
 
 
 def reverse_string(b: BladeString) -> BladeString:
     """Reversion: each local e12 factor contributes one sign flip."""
     flips = (b.e1 & b.e2).bit_count()
-    return BladeString(b.n, b.e1, b.e2, b.sign * (-1 if flips & 1 else 1))
+    return _blade(b.n, b.e1, b.e2, b.sign * (-1 if flips & 1 else 1))
+
+
+def _blade(n: int, e1: int, e2: int, sign: int) -> BladeString:
+    """A BladeString built without `__post_init__`'s range checks.
+
+    Only for fields the caller knows are in range, such as XORs of in-range
+    masks; `string_mul`'s products and `reverse_string`'s reversions are
+    built this way.
+    """
+    b = object.__new__(BladeString)
+    d = b.__dict__
+    d["n"], d["e1"], d["e2"], d["sign"] = n, e1, e2, sign
+    return b
 
 
 @dataclass(frozen=True)

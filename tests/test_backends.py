@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bladesim.backends
@@ -431,6 +431,11 @@ def test_counts_equal_the_per_record_tally(circuit, seed, backend):
     assert report["counts"] == per_record_counts(circuit, report["records"])
 
 
+def _coin_flips(slots) -> str:
+    """One qubit, and an H then a measurement into each of `slots` in turn: every outcome a fair coin."""
+    return "qubits 1\n" + "".join(f"h 0\nmeasure 0 -> {slot}\n" for slot in slots)
+
+
 @pytest.mark.parametrize(
     "src",
     [
@@ -438,17 +443,43 @@ def test_counts_equal_the_per_record_tally(circuit, seed, backend):
         "qubits 2\nh 0\ncnot 0 1\nmeasure 1 -> 1\nh 0\nmeasure 0 -> 1\nmeasure 0\n",
         "qubits 2\nh 0\ncnot 0 1\n",  # no measurement: one empty register
         "qubits 1\nh 0\nmeasure 0\nh 0\nmeasure 0 -> 65535\n",  # 2^16 slots: 16 registers at a time
+        # around the 64 written slots that one uint64 code per shot holds; at
+        # 40 shots, seed 1, every record of these four is distinct
+        pytest.param(_coin_flips(range(62, -1, -1)), id="63-slots-written-last-first"),
+        pytest.param(_coin_flips([*range(0, 128, 2), 0]), id="64-of-127-slots-65-measurements"),
+        pytest.param(_coin_flips(range(65)), id="65-slots"),
+        pytest.param(_coin_flips(range(127, -1, -1)), id="128-slots-written-last-first"),
+        pytest.param(Circuit(2, (GateOp("h", (0,)), GateOp("cnot", (0, 1))), 3), id="3-slots-no-measurement"),
     ],
 )
 def test_counts_on_overwritten_unwritten_and_missing_slots(src):
-    circuit = parse(src)
+    circuit = parse(src) if isinstance(src, str) else src
     for backend in BACKENDS:
-        report = run(circuit, backend, shots=40, seed=1)
-        assert report["counts"] == per_record_counts(circuit, report["records"]), backend
-        assert sum(report["counts"].values()) == 40
+        for shots in (40, 1):
+            report = run(circuit, backend, shots=shots, seed=1)
+            assert report["counts"] == per_record_counts(circuit, report["records"]), backend
+            assert sum(report["counts"].values()) == shots
 
 
-@given(st.tuples(st.integers(1, 300), st.integers(1, 20)).flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))))
+def test_counts_iterate_in_register_order_up_to_64_written_slots():
+    # each shot's register is one uint64 code, and np.unique returns the codes sorted
+    circuit = parse(_coin_flips(range(5, -1, -1)))
+    for backend in BACKENDS:
+        counts = run(circuit, backend, shots=300, seed=1)["counts"]
+        assert list(counts) == sorted(counts), backend
+
+
+def _coin_rows(rows: int, columns: int) -> np.ndarray:
+    return np.random.default_rng([rows, columns]).integers(0, 2, (rows, columns), dtype=np.uint8)
+
+
+# one uint64 code holds a row of up to 64 columns; wider rows take the packed-byte Counter
+@given(st.tuples(st.integers(1, 300), st.integers(1, 130)).flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))))
+@example(_coin_rows(1, 64))
+@example(_coin_rows(1, 65))
+@example(_coin_rows(300, 64))  # every row distinct
+@example(_coin_rows(300, 65))
+@example(_coin_rows(300, 6))  # every row one of 64, in random order
 def test_tally_equals_the_counter_of_rows(records):
     # validate's statistics tally: every record, its count and the order of
     # first appearance, which picks the impossible record a failing detail

@@ -210,12 +210,27 @@ def test_bench_both_kernels(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5  # header + 2 sizes x 2 kernels
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["pauli-mul", "32"], ["pauli-mul", "64"], ["tableau-gate", "32"], ["tableau-gate", "64"]
+    ]  # "both" stays the two scaling kernels; string-mul is timed only when asked for
+
+
+def test_bench_string_mul_kernel(capsys):
+    # the blade-string product's own kernel, word-parallel like pauli-mul, so no size is skipped
+    code = main(["bench", "--sizes", "64,2^15", "--reps", "2", "--kernel", "string-mul"])
+    assert code == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == "kernel,n,median_ns,p90_ns"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["string-mul", "64"], ["string-mul", "32768"]]
+    assert all(float(v) > 0 for line in lines[1:] for v in line.split(",")[2:])
+    assert captured.err == ""
 
 
 def test_bench_rows_refuses_unknown_kernels():
     # an unknown name used to time H gates under that name
-    with pytest.raises(ValueError, match="pauli-mul, tableau-gate"):
-        bench_rows([8], reps=1, kernels=("string-mul",))
+    with pytest.raises(ValueError, match="pauli-mul, tableau-gate, string-mul"):
+        bench_rows([8], reps=1, kernels=("blade-mul",))
     with pytest.raises(ValueError, match="'nope'"):
         bench_rows([8], reps=1, kernels=("pauli-mul", "nope"))
     assert [r["kernel"] for r in bench_rows([8], reps=1, kernels=KERNELS)] == list(KERNELS)

@@ -57,6 +57,22 @@ def test_reverse_string_sign_flips():
     assert reverse_string(bs([1, 2])) == bs([1, 2])        # none
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+def test_unchecked_products_equal_the_checked_constructor(n):
+    # string_mul and reverse_string skip __post_init__: their fields must be
+    # the ones the checked constructor takes, around the 64-bit word edge
+    rng = np.random.default_rng([5, n])
+    for _ in range(200):
+        a, b = random_blade_string(n, rng), random_blade_string(n, rng)
+        product = BladeString(n, a.e1 ^ b.e1, a.e2 ^ b.e2, a.sign * b.sign * (-1) ** (a.e2 & b.e1).bit_count())
+        reversion = BladeString(n, a.e1, a.e2, a.sign * (-1) ** (a.e1 & a.e2).bit_count())
+        for got, want in ((string_mul(a, b), product), (reverse_string(a), reversion)):
+            assert (got.n, got.e1, got.e2, got.sign) == (want.n, want.e1, want.e2, want.sign)
+            assert got == want and hash(got) == hash(want) and type(got) is BladeString
+        with pytest.raises(DimensionMismatchError):
+            string_mul(a, random_blade_string(n + 1, rng))
+
+
 def test_pauli_mul_exhaustive_one_qubit():
     for ax, az, ak, bx, bz, bk in itertools.product((0, 1), (0, 1), range(4), (0, 1), (0, 1), range(4)):
         a = PauliString(1, ax, az, ak)
