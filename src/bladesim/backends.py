@@ -216,7 +216,7 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [statevector_pairs(row) for row in np.asarray(m)]
 
 
-CODE_BITS = 64  # outcomes read as one uint64 code; more take the byte-row Counter
+CODE_BITS = 64  # columns read as one uint64 code; wider rows take the byte-row Counter
 
 
 def _codes(records: np.ndarray, columns) -> np.ndarray:
@@ -237,68 +237,63 @@ def _code_rows(codes: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(codes.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=width)
 
 
-def _registers(creg: int, slots: list[int], outcomes: np.ndarray) -> list[bytes]:
-    """One creg-byte register per row of `outcomes`, whose columns fill `slots`; every other slot is b"0"."""
-    reg = np.full((len(outcomes), creg), ord("0"), dtype=np.uint8)
-    reg[:, slots] = outcomes + ord("0")
-    return reg.view(f"S{creg}").ravel().tolist()
+def _distinct(records: np.ndarray, columns) -> tuple[np.ndarray, list[int]]:
+    """The distinct rows of `records[:, columns]` as a (k, len(columns)) uint8 array, and each row's shots.
+
+    Up to CODE_BITS columns each row is one uint64 code (`_codes`) and one
+    `np.unique` counts the codes: the rows come in increasing bit-string
+    order.  Wider rows are copied out MAX_SHOTS cells at a time as
+    C-contiguous byte rows, and one `Counter` counts their void views: the
+    rows come in order of first appearance.
+    """
+    columns = list(columns)
+    width = len(columns)
+    if width <= CODE_BITS:
+        codes, counts = np.unique(_codes(records, columns), return_counts=True)
+        return _code_rows(codes, width), counts.tolist()
+    tally = Counter()
+    chunk = max(1, MAX_SHOTS // width)
+    for first in range(0, len(records), chunk):
+        rows = np.ascontiguousarray(records[first : first + chunk, columns])
+        tally.update(rows.view(f"V{width}").ravel().tolist())
+    return np.frombuffer(b"".join(tally), dtype=np.uint8).reshape(-1, width), list(tally.values())
 
 
 def _counts(circuit: Circuit, records: np.ndarray) -> dict[str, int]:
     """Shots per classical-register string, slot 0 leftmost, from the (shots, measurements) records.
 
-    A slot shows the last measurement that writes it, "0" if none does.  Up
-    to CODE_BITS written slots, each shot's written outcomes are one uint64
-    code (`_codes`), one `np.unique` counts the codes, and a register is
-    built only for each distinct code: the counts come in register order.
-    Past that, each shot's register is built as a byte row and a `Counter`
-    tallies them, in order of first appearance.  Registers are built
-    MAX_SHOTS cells at a time.
+    A slot shows the last measurement that writes it, "0" if none does.
+    `_distinct` counts the rows of those last writers, in slot order, so up
+    to CODE_BITS written slots the counts come in register order and past
+    that in order of first appearance.  A register is built only for each
+    distinct row: one `take` gathers it from the row's digits and a trailing
+    "0", MAX_SHOTS cells at a time.
     """
     creg = circuit.creg
     if not creg:
         return {"": len(records)}
-    measures = [op for op in circuit.ops if op.is_measure]
-    last = {op.slot: m for m, op in enumerate(measures)}  # a later write replaces an earlier one
+    writes = (op.slot for op in circuit.ops if op.kind == MEASURE)
+    last = {slot: m for m, slot in enumerate(writes)}  # a later write replaces an earlier one
     slots = sorted(last)
-    writers = [last[slot] for slot in slots]
+    rows, tallies = _distinct(records, [last[slot] for slot in slots])
+    source = np.full(creg, len(slots))  # an unwritten slot reads the trailing "0"
+    source[slots] = np.arange(len(slots))
     chunk = max(1, MAX_SHOTS // creg)
-    if len(slots) <= CODE_BITS:
-        distinct, tallies = np.unique(_codes(records, writers), return_counts=True)
-        keys = []
-        for first in range(0, len(distinct), chunk):
-            keys += _registers(creg, slots, _code_rows(distinct[first : first + chunk], len(slots)))
-        tallies = tallies.tolist()
-    else:
-        counts = Counter()
-        for first in range(0, len(records), chunk):
-            counts.update(_registers(creg, slots, records[first : first + chunk, writers]))
-        keys, tallies = counts.keys(), counts.values()
+    keys = []
+    for first in range(0, len(rows), chunk):
+        part = rows[first : first + chunk]
+        digits = np.full((len(part), len(slots) + 1), ord("0"), dtype=np.uint8)
+        np.add(part, ord("0"), out=digits[:, :-1])
+        keys += digits.take(source, axis=1).view(f"S{creg}").ravel().tolist()
     return {key.decode(): count for key, count in zip(keys, tallies)}
 
 
 def _tally(records: np.ndarray) -> dict[tuple, int]:
-    """{record: shots} over the (shots, measurements) records, in order of first appearance.
+    """{record: shots} over the (shots, measurements) records, in no promised order, counted by `_distinct`.
 
-    Up to CODE_BITS measurements each row is one uint64 code (`_codes`): one
-    `np.unique` counts the codes, and each distinct code's first row orders
-    them.  Wider rows are keyed by their bits packed into bytes and one
-    `Counter` counts the keys.  The distinct records are unpacked together;
-    a record is a tuple of Python ints, as the report prints it.
+    A record is a tuple of Python ints, as the report prints it.
     """
-    width = records.shape[1]
-    if width <= CODE_BITS:
-        codes = _codes(records, range(width))
-        distinct, counts = np.unique(codes, return_counts=True)
-        first = np.full(len(distinct), len(codes))
-        np.minimum.at(first, np.searchsorted(distinct, codes), np.arange(len(codes)))
-        order = np.argsort(first)
-        rows, counts = _code_rows(distinct[order], width), counts[order].tolist()
-    else:
-        packed = np.ascontiguousarray(np.packbits(records, axis=1))
-        tally = Counter(packed.view(f"V{packed.shape[1]}").ravel().tolist())
-        distinct = np.frombuffer(b"".join(tally), dtype=np.uint8).reshape(len(tally), -1)
-        rows, counts = np.unpackbits(distinct, axis=1, count=width), tally.values()
+    rows, counts = _distinct(records, range(records.shape[1]))
     return {tuple(row): count for row, count in zip(rows.tolist(), counts)}
 
 
@@ -527,8 +522,9 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     vector gives probability at most BRANCH_EPS, and at a dense collapse
     onto a zero-norm part, which fails the dense check.  Statistical check:
     the run's outcome frequencies against the exact Born distribution,
-    within 0.02 at 10^4 shots, widening as four binomial sigmas below that.
-    One report entry per check.
+    within 0.02 at 10^4 shots, widening as four binomial sigmas below that;
+    a record of Born probability 0 fails it, and the detail names the
+    smallest such record.  One report entry per check.
     """
     shots, seed = _check_args(shots, seed)
     check_cap(circuit.n, "validation", sv.STATEVECTOR_CAP)
@@ -619,7 +615,7 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
         ref_name = "exact" if enumerable else "sampled"
         detail = f"max |freq - p| = {worst:.4f} over {len(dist)} records ({ref_name} reference)"
         if impossible:
-            detail = f"impossible record observed: {impossible[0]}; " + detail
+            detail = f"impossible record observed: {min(impossible)}; " + detail
         checks.append({"name": "measurement_statistics", "passed": passed, "detail": detail})
 
     return {

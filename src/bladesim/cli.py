@@ -149,10 +149,11 @@ def _bit_rows(rows: np.ndarray, newline: str, out: list) -> None:
 
     Each row's text, with the comma and line break after it, has one width,
     and its digits sit in fixed columns.  So the rows are copies of one
-    template with the digits added in by a single array assignment, and the
-    text is decoded once.  The matrix is filled MAX_SHOTS bytes at a time,
-    so that a chunk's template copies are still in cache when its digits
-    are added.
+    template with the digits added in by array assignment, MAX_SHOTS bytes
+    at a time: a chunk's template copies are still in cache when its digits
+    are added, and each chunk is decoded on its own, so only one chunk's
+    byte matrix is held beside the text.  The last chunk drops the
+    separator after the last row.
     """
     count, width = rows.shape
     inner = newline + "  "
@@ -161,13 +162,15 @@ def _bit_rows(rows: np.ndarray, newline: str, out: list) -> None:
     row = "[" + ",".join([deeper + "0"] * width) + inner + "]" if width else "[]"
     template = np.frombuffer((row + sep).encode(), dtype=np.uint8)
     first_digit, step = 1 + len(deeper), len(deeper) + 2
-    text = np.empty((count, len(template)), dtype=np.uint8)
     chunk = max(1, MAX_SHOTS // len(template))
+    out.append("[" + inner)
     for first in range(0, count, chunk):
-        part = text[first : first + chunk]
+        part = np.empty((min(chunk, count - first), len(template)), dtype=np.uint8)
         part[:] = template
         np.add(rows[first : first + chunk], ord("0"), out=part[:, first_digit : first_digit + step * width : step])
-    out += ("[" + inner, str(memoryview(text.reshape(-1))[: -len(sep)], "ascii"), newline + "]")
+        text = memoryview(part.reshape(-1))
+        out.append(str(text if first + chunk < count else text[: -len(sep)], "ascii"))
+    out.append(newline + "]")
 
 
 def _cmd_run(args) -> int:

@@ -28,7 +28,7 @@ from bladesim import (
     validate,
 )
 from bladesim import statevector as sv
-from bladesim.backends import BACKENDS, BRANCH_EPS, _dense_backend, _ideal_project, _tally
+from bladesim.backends import BACKENDS, BRANCH_EPS, CODE_BITS, _dense_backend, _distinct, _ideal_project, _tally
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import circuits
 from oracles import circuit_unitary, element_from_coordinates, per_record_counts, random_dense
@@ -421,7 +421,8 @@ def test_validate_walk_catches_flipped_deterministic_outcome(monkeypatch):
     monkeypatch.setattr(bladesim.tableau.Tableau, "measure", flipped)
     report = validate(BELL, shots=500, seed=0)
     failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
-    assert "measurement_statistics" in failed
+    # both of the run's records, (0, 1) and (1, 0), are impossible; the detail names the smaller
+    assert failed["measurement_statistics"].startswith("impossible record observed: (0, 1); "), failed
     assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 3 (measure 1)"), failed
 
 
@@ -473,19 +474,43 @@ def _coin_rows(rows: int, columns: int) -> np.ndarray:
     return np.random.default_rng([rows, columns]).integers(0, 2, (rows, columns), dtype=np.uint8)
 
 
-# one uint64 code holds a row of up to 64 columns; wider rows take the packed-byte Counter
+@st.composite
+def _records_and_columns(draw):
+    """Coin-flip records and 1-130 of their columns, a subset in any order, as `_counts` picks its writers."""
+    shape = draw(st.tuples(st.integers(1, 300), st.integers(1, 133)))
+    records = draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+    columns = draw(st.permutations(range(shape[1])))
+    return records, columns[: draw(st.integers(1, min(130, shape[1])))]
+
+
+# one uint64 code holds a row of up to 64 columns; wider rows take the byte-row Counter
+@given(_records_and_columns())
+@example((_coin_rows(1, 64), range(64)))
+@example((_coin_rows(1, 65), range(65)))
+@example((_coin_rows(300, 64), range(63, -1, -1)))  # every row distinct
+@example((_coin_rows(300, 65), range(65)))
+@example((_coin_rows(300, 6), [4, 0, 5, 2]))  # every row one of 16, in random order
+def test_distinct_equals_the_counter_of_rows(case):
+    # the stabilizer sampler's records are a transposed view, so both layouts;
+    # rows come in bit-string order up to 64 columns, else in order of first
+    # appearance: the order run's counts iterate in
+    records, columns = case
+    want = Counter(map(tuple, records[:, columns].tolist()))
+    for layout in (records, np.asfortranarray(records)):
+        rows, counts = _distinct(layout, columns)
+        assert rows.dtype == np.uint8 and rows.shape == (len(want), len(columns))
+        assert dict(zip(map(tuple, rows.tolist()), counts)) == want
+        assert list(map(tuple, rows.tolist())) == (sorted(want) if len(columns) <= CODE_BITS else list(want))
+        assert all(type(count) is int for count in counts)
+
+
 @given(st.tuples(st.integers(1, 300), st.integers(1, 130)).flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))))
-@example(_coin_rows(1, 64))
-@example(_coin_rows(1, 65))
-@example(_coin_rows(300, 64))  # every row distinct
+@example(_coin_rows(300, 64))
 @example(_coin_rows(300, 65))
-@example(_coin_rows(300, 6))  # every row one of 64, in random order
 def test_tally_equals_the_counter_of_rows(records):
-    # validate's statistics tally: every record, its count and the order of
-    # first appearance, which picks the impossible record a failing detail
-    # names; the stabilizer sampler's records are a transposed view
+    # validate's statistics tally: every record and its count, in no promised order
     want = Counter(map(tuple, records.tolist()))
     for layout in (records, np.asfortranarray(records)):
         got = _tally(layout)
-        assert list(got.items()) == list(want.items())
+        assert got == want
         assert all(type(v) is int for key in got for v in key)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from bladesim.bench import KERNELS, bench_rows
 from bladesim.cli import build_parser, main, parse_sizes
 
 BELL_SRC = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -65,6 +70,27 @@ def test_run_reports_byte_identical_modulo_timing(bell_file, tmp_path):
         doc.pop("timing")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_ghz1000_report_peaks_under_150_mb(tmp_path):
+    # GHZ-1000 at 10^4 shots writes a 91 MB report, whose records' text is
+    # built a chunk at a time.  The child prints its own peak RSS in kB as
+    # Linux's VmHWM: its ru_maxrss would also hold this process's peak, which
+    # Linux carries over through fork and exec
+    path = tmp_path / "ghz1000.qc"
+    measures = "".join(f"measure {q}\n" for q in range(1000))
+    path.write_text("qubits 1000\nh 0\n" + "".join(f"cnot 0 {q}\n" for q in range(1, 1000)) + measures)
+    script = (
+        "import sys\n"
+        "from bladesim.cli import main\n"
+        "assert main(['run', sys.argv[1], '--shots', '10000', '--seed', '1', '--out', sys.argv[2]]) == 0\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", script, str(path), os.devnull]
+    out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) / 1024 < 150, out.stdout
 
 
 def test_validate_exit_codes(bell_file, tmp_path, capsys):
