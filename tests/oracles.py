@@ -10,8 +10,12 @@ row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step.  Its one-qubit rules come from `IMAGES`, a hand-written
 table of letter images, which the images the tableau derives from the gates'
 blade words must equal.  `set_rows` writes rows into a column tableau.
-`product_phases` finds every letter's phase by `Tableau._product`, the
-column scan that the stored phases `kz` and `kx` replace.
+`product` is the column scan that the stored phases `kz` and `kx` replace:
+the phase of an ordered row product, summed column by column.
+`product_phases` finds every letter's phase with it, and
+`reference_expectation` is `Tableau.expectation` as it was before it merged
+the stored phases: the product of the stabilizers the string's destabilizer
+bits select, compared with the string.
 `interpret_rule` applies a tableau rule entry by entry, the interpreter the
 gates ran before each rule was compiled to one straight-line function
 (`tableau._compile`); every compiled gate must leave its tableau.
@@ -45,9 +49,10 @@ from collections import Counter
 import numpy as np
 
 from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
+from bladesim.errors import TableauInvariantError
 from bladesim.statevector import GATES_1Q
 from bladesim.strings import _LETTERS, BladeString, PauliString, pauli_mul, string_mul
-from bladesim.tableau import _column_bits, _transpose
+from bladesim.tableau import _column_bits, _indices, _transpose
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -178,7 +183,7 @@ def graded_mul(a, b):
     (-1)^(deg a_j * deg b_k), so the graded sign is `string_mul`'s sign times
     (-1)^sum_{j>k} p_a(j) p_b(k), p the masks of odd-grade qubits (e1 or e2,
     not e12).  Its parity is |p_a & (odd << 1)|, where bit k of `odd` is the
-    parity of p_b's bits 0..k: the odd prefix `Tableau._product` builds.
+    parity of p_b's bits 0..k: the odd prefix `product` builds.
     """
     ab = string_mul(a, b)
     odd, shift = b.e1 ^ b.e2, 1
@@ -349,9 +354,58 @@ def set_rows(t, rows) -> None:
     t.kz, t.kx = product_phases(t)
 
 
+def product(t, rows: int) -> tuple[int, int, int]:
+    """Qubit masks x, z and phase exponent k of the product of a column tableau's selected rows.
+
+    The rows multiply in increasing order.  Telescoping `pauli_mul` over
+    them gives k = sum k_a + 3 sum |x_a & z_a| + 2 sum_{a<b} |x_a & z_b|
+    + |x & z| (mod 4), each sum taken column by column; at one column the
+    parity of the pair sum counts the z bits under an odd prefix of x bits.
+    """
+    k = 2 * (t.r & rows).bit_count()
+    x = z = 0
+    span = rows.bit_length()
+    for j, (cx, cz) in enumerate(zip(t.xs, t.zs)):
+        u, w = cx & rows, cz & rows
+        if u:
+            x |= (u.bit_count() & 1) << j
+        if w:
+            z |= (w.bit_count() & 1) << j
+        if u and w:
+            odd, shift = u, 1  # odd prefix: bit b is the parity of u's bits 0..b
+            while shift < span:
+                odd ^= odd << shift
+                shift <<= 1
+            k += 3 * (u & w).bit_count() + 2 * ((odd << 1) & w).bit_count()
+    k += (x & z).bit_count()
+    return x, z, k % 4
+
+
 def product_phases(t) -> tuple[list[int], list[int]]:
     """Each qubit's (kz, kx): the phases of Z_q and X_q as products of the rows their columns select."""
-    return [t._product(t._swap_halves(c))[2] for c in t.xs], [t._product(t._swap_halves(c))[2] for c in t.zs]
+    return [product(t, t._swap_halves(c))[2] for c in t.xs], [product(t, t._swap_halves(c))[2] for c in t.zs]
+
+
+def reference_expectation(t, p) -> int:
+    """`Tableau.expectation` by the column scan: the product of the stabilizers p's destabilizer bits select.
+
+    Returns 0 when p anticommutes with a stabilizer, else +1 or -1 as that
+    product's phase equals p's or not; p must be Hermitian, on t's n qubits.
+    """
+    n = t.n
+    anti = 0  # the rows that anticommute with p
+    for q in _indices(p.x):
+        anti ^= t.zs[q]
+    for q in _indices(p.z):
+        anti ^= t.xs[q]
+    if anti >> n:
+        return 0
+    # destabilizer j anticommutes with stabilizer j only, so the bits of a
+    # commuting string decompose along the stabilizers its destabilizers flag
+    x, z, k = product(t, (anti & ((1 << n) - 1)) << n)
+    if x != p.x or z != p.z:
+        raise TableauInvariantError("commuting string is outside the stabilizer span")
+    return 1 if k == p.k else -1
 
 
 def interpret_rule(t, kind: str, rule, qubits: tuple):

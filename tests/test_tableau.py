@@ -24,6 +24,8 @@ from oracles import (
     gate_unitary,
     interpret_rule,
     pauli_matrix_oracle,
+    product,
+    reference_expectation,
     reference_stabilizer_lines,
     set_rows,
 )
@@ -32,10 +34,10 @@ ALL_KINDS = ("h", "s", "sdg", "x", "y", "z", "cnot", "cz", "swap")
 
 
 def assert_phases(t: Tableau, where) -> None:
-    """Every stored phase is the one `_product` finds for its letter, and the columns select that letter."""
+    """Every stored phase is the one `product` finds for its letter, and the columns select that letter."""
     for q in range(t.n):
-        assert t._product(t._swap_halves(t.xs[q])) == (0, 1 << q, t.kz[q]), (where, "Z", q)
-        assert t._product(t._swap_halves(t.zs[q])) == (1 << q, 0, t.kx[q]), (where, "X", q)
+        assert product(t, t._swap_halves(t.xs[q])) == (0, 1 << q, t.kz[q]), (where, "Z", q)
+        assert product(t, t._swap_halves(t.zs[q])) == (1 << q, 0, t.kx[q]), (where, "X", q)
 
 
 def assert_lockstep(circuit, seed: int) -> None:
@@ -44,7 +46,7 @@ def assert_lockstep(circuit, seed: int) -> None:
     Each random outcome is a drawn constant plus a fresh variable, so signs
     and variable masks both move.  After every op all 2n rows (with signs),
     the variable masks and each measurement's (const, mask, deterministic)
-    triple must be equal, and every stored letter phase must be `_product`'s;
+    triple must be equal, and every stored letter phase must be `product`'s;
     so must the rows and the phases once the variables are assigned, and the
     stabilizer lines must equal the row engine's text.
     """
@@ -467,6 +469,88 @@ def test_expectation_matches_statevector_oracle():
         got = t.expectation(p)
         want = np.vdot(psi, pauli_matrix_oracle(p) @ psi).real
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def scrambled(n: int, seed: int) -> Tableau:
+    """A tableau after a random all-kinds circuit with random measurements on it."""
+    t, rng = Tableau(n), np.random.default_rng(seed)
+    for op in random_clifford_circuit(n, 4 * n, seed=seed, gate_kinds=ALL_KINDS, measure_prob=0.2).ops:
+        if op.is_measure:
+            t.measure_z(op.qubits[0], rng)
+        else:
+            t.apply_gate(op)
+    return t
+
+
+def test_expectation_equals_the_column_scan():
+    # the stored phases merged against the product of the stabilizers the
+    # destabilizer bits select, across word boundaries of n: random Hermitian
+    # strings, every stabilizer row and its negation, and random products of
+    # stabilizers, so that many strings are +-1
+    rng = random.Random(11)
+    seen = nonzero = 0
+    for n in (*range(1, 12), 31, 32, 33, 63, 64, 65):
+        for seed in range(6):
+            t = scrambled(n, 1000 * n + seed)
+            stabilizers = t.stabilizers
+            strings = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((0, 2))) for _ in range(40)]
+            strings += stabilizers + [-s for s in stabilizers]
+            for _ in range(40):
+                p = PauliString(n, 0, 0, rng.choice((0, 2)))
+                for s in rng.sample(stabilizers, rng.randint(1, n)):
+                    p = p * s
+                strings.append(p)
+            for p in strings:
+                want = reference_expectation(t, p)
+                assert t.expectation(p) == want, (n, seed, p)
+                seen, nonzero = seen + 1, nonzero + (want != 0)
+    assert nonzero > seen // 2, (seen, nonzero)  # 8579 of 12408 strings are +-1
+
+
+class Reads(list):
+    """A list that logs the index of every read through `[]` and every iteration."""
+
+    def __init__(self, items, log: list):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.log.extend(range(len(self)))
+        return super().__iter__()
+
+
+def test_deterministic_outcomes_and_expectations_read_only_their_columns():
+    # a deterministic measure(q) reads column q alone, and expectation(p) the
+    # columns and phases of p's support alone, at any width
+    rng = random.Random(3)
+
+    def no_draw():
+        raise AssertionError("a deterministic outcome drew")
+
+    for n in (5, 40, 130):
+        t = scrambled(n, n)
+        logs = {name: [] for name in ("xs", "zs", "kz", "kx")}
+        for name, log in logs.items():
+            setattr(t, name, Reads(getattr(t, name), log))
+        for q in rng.sample(range(n), 4):
+            t.measure_z(q, np.random.default_rng(q))  # measuring q again is deterministic
+            for log in logs.values():
+                log.clear()
+            assert t.measure(q, no_draw)[2], (n, q)
+            assert {i for log in logs.values() for i in log} == {q}, (n, q, logs)
+        for _ in range(50):
+            support = rng.sample(range(n), rng.randint(1, min(n, 6)))
+            x, z = (sum(1 << q for q in support if rng.random() < 0.7) for _ in range(2))
+            p = PauliString(n, x, z | (sum(1 << q for q in support) & ~x), rng.choice((0, 2)))
+            for log in logs.values():
+                log.clear()
+            value = t.expectation(p)
+            assert {i for log in logs.values() for i in log} <= set(support), (n, p, logs)
+            assert value == reference_expectation(t, p), (n, p)
 
 
 def test_copy_is_independent():
