@@ -46,7 +46,7 @@ from .dense import ORACLE_CAP, check_cap
 from .errors import BladesimError, TableauInvariantError
 from .gates import gate_to_operator_pair, gate_words, projector_words, qubit_projector
 from .ideal import IdealState, OperatorPair, act, apply, to_statevector, word_action
-from .tableau import Tableau, _indices
+from .tableau import Tableau, _indices, _pack, _unpack
 
 BACKENDS = ("stabilizer", "dense-clifford", "statevector")
 
@@ -386,21 +386,17 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[np.ndarr
     # of each output first: the word's top bit; bits[r, s] is shot s's draw r
     words = _shot_words(seed, shots, (draws + 1) // 2).T[:, None]
     bits = (words >> np.uint64([[31], [63]]) & 1).astype(np.uint8).reshape(-1, shots)[:draws]
-    # each draw's row as one int, bit s for shot s: an outcome's row is then
-    # its constant XOR the rows its mask selects, 64 shots to a machine word
-    size = (shots + 7) // 8
-    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    drawn = [int.from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
+    # each draw's row as one int, bit s for shot s (`_pack`): an outcome's row
+    # is its constant XOR the rows its mask selects, 64 shots to a machine word
+    drawn = _pack(bits)
     rows = []
     for const, mask in outcomes:
         row = ((1 << shots) - 1) * const
         for r in _indices(mask):
             row ^= drawn[r]
-        rows.append(row.to_bytes(size, "little"))
-    rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, size)
-    records = np.unpackbits(rows, axis=1, count=shots, bitorder="little")
-    last = int.from_bytes(np.packbits(bits[:, -1], bitorder="little").tobytes(), "little")
-    return records.T, t.assign(last).stabilizer_lines()
+        rows.append(row)
+    last = _pack(bits[:, -1:].T)[0]  # bit r is the last shot's draw r
+    return _unpack(rows, 0, shots), t.assign(last).stabilizer_lines()
 
 
 def _norm2(v: np.ndarray) -> float:

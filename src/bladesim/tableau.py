@@ -46,7 +46,8 @@ row products, one popcount per letter, and reads no column outside the
 string's support.
 
 `rows`, `destabilizers` and `stabilizers` are read-only PauliString views,
-built by transposing the columns.
+and `stabilizer_lines` their text: both unpack their rows from the columns
+as a 0/1 matrix (`_unpack`); a view packs its x and z halves back (`_pack`).
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ from .strings import PauliString, _pauli, pauli_mul  # noqa: F401
 
 
 _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
-# entry a: the eight bits of byte a, bit k in byte k of one 8-byte word
-_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view("<u8").ravel()
-# a letter's byte from its x and z bits is I + 15x + 17z - 16xz (I, X, Z, Y
-# are 73, 88, 90, 89); no byte leaves 0..255, so a word computes eight at once
-_EIGHT_I = np.uint64(int.from_bytes(b"I" * 8, "little"))
 
 
 def _indices(mask: int):
@@ -83,6 +79,30 @@ def _indices(mask: int):
     while i >= 0:
         yield i
         i = bits.find("1", i + 1)
+
+
+def _unpack(ints, lo: int, count: int) -> np.ndarray:
+    """Bits lo..lo+count-1 of nonnegative ints as a (count, len(ints)) 0/1 uint8 array, row i from bit lo + i.
+
+    Each int's bits become bytes, byte j holding rows 8j..8j+7, and the
+    bytes a matrix with a row per byte index; that matrix shifted right by
+    k = 0..7 gives rows 8j + k, already in order.
+    """
+    size = (count + 7) // 8
+    mask = (1 << count) - 1
+    data = b"".join(((c >> lo) & mask).to_bytes(size, "little") for c in ints)
+    # a contiguous copy, so that the shifts read along rows: 5x faster on 1000 ints of 10^4 bits
+    cols = np.ascontiguousarray(np.frombuffer(data, dtype=np.uint8).reshape(-1, size).T)
+    bits = cols[:, None, :] >> np.arange(8, dtype=np.uint8)[:, None]
+    bits &= 1
+    return bits.reshape(8 * size, -1)[:count]
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as one int, column j at bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * size : (i + 1) * size], "little") for i in range(len(packed))]
 
 
 _Rule = namedtuple("_Rule", "arity cols flip phases")
@@ -192,18 +212,6 @@ def _compile(kind: str, rule: _Rule):
 _GATES = {kind: _compile(kind, rule) for kind, rule in _RULES.items()}
 
 
-def _column_bits(cols: list[int], lo: int, hi: int) -> list[str]:
-    """Bits lo..hi-1 of each column as a '0'/'1' string, bit hi-1 first."""
-    w = hi - lo
-    mask = (1 << w) - 1
-    return [format((c >> lo) & mask, f"0{w}b") for c in cols]
-
-
-def _transpose(text: list[str]) -> list[str]:
-    """Per-column strings (last row first) as per-row strings (column 0 first), first row first."""
-    return ["".join(chars) for chars in zip(*text)][::-1]
-
-
 class Tableau:
     """Mutable stabilizer state; deep-copy before sharing.
 
@@ -248,11 +256,9 @@ class Tableau:
 
     def _rows(self, lo: int, hi: int) -> list[PauliString]:
         n = self.n
-        xt, zt = _transpose(_column_bits(self.xs, lo, hi)), _transpose(_column_bits(self.zs, lo, hi))
-        return [
-            _pauli(n, int(x[::-1], 2), int(z[::-1], 2), 2 * ((self.r >> i) & 1))
-            for i, x, z in zip(range(lo, hi), xt, zt)
-        ]
+        bits = _unpack((*self.xs, *self.zs, self.r), lo, hi - lo)
+        signs = bits[:, 2 * n].tolist()
+        return [_pauli(n, x, z, 2 * s) for x, z, s in zip(_pack(bits[:, :n]), _pack(bits[:, n : 2 * n]), signs)]
 
     @property
     def rows(self) -> list[PauliString]:
@@ -269,21 +275,17 @@ class Tableau:
     def stabilizer_lines(self) -> list[str]:
         """One row per line with explicit sign, e.g. '+XX'.
 
-        The stabilizer halves of the columns, and of the signs, become one
-        byte matrix with a row per byte index: byte j of a column holds
-        stabilizers 8j..8j+7.  A column's x byte and z byte give those eight
-        rows' letters at once, as the bytes of one word, and a transpose puts
-        them in row order.  The text is decoded once and cut into lines.
+        The stabilizer half of the columns and of the signs is unpacked to
+        one 0/1 matrix with a row per stabilizer (`_unpack`).  A letter's
+        byte from its x and z bits is 73 + 15x + 17z - 16xz, which gives I, X,
+        Z and Y; the text is decoded once and cut into lines.
         """
         n = self.n
-        size = (n + 7) // 8
-        data = b"".join((c >> n).to_bytes(size, "little") for c in (*self.xs, *self.zs, self.r))
-        cols = np.ascontiguousarray(np.frombuffer(data, dtype=np.uint8).reshape(-1, size).T)
-        x, z = _BITS[cols[:, :n]], _BITS[cols[:, n : 2 * n]]
-        letters = _EIGHT_I + np.uint64(15) * x + np.uint64(17) * z - np.uint64(16) * (x & z)
+        bits = _unpack((*self.xs, *self.zs, self.r), n, n)
+        x, z = bits[:, :n], bits[:, n : 2 * n]
         lines = np.empty((n, n + 1), dtype=np.uint8)
-        lines[:, 0] = _SIGN_BYTES[np.unpackbits(cols[:, 2 * n], count=n, bitorder="little")]
-        lines[:, 1:] = letters.view(np.uint8).reshape(size, n, 8).transpose(0, 2, 1).reshape(8 * size, n)[:n]
+        lines[:, 0] = _SIGN_BYTES[bits[:, 2 * n]]
+        lines[:, 1:] = 73 + 15 * x + 17 * z - 16 * (x & z)
         text = lines.tobytes().decode()
         return [text[i : i + n + 1] for i in range(0, n * (n + 1), n + 1)]
 

@@ -21,7 +21,11 @@ gates ran before each rule was compiled to one straight-line function
 (`tableau._compile`); every compiled gate must leave its tableau.
 `reference_stabilizer_lines` is `Tableau.stabilizer_lines` as it was before it
 built the letters as one byte matrix: each column's bits read as an octal
-string, the per-column letters transposed through `zip`.
+string, the per-column letters transposed through `zip`.  `reference_rows` is
+`Tableau.rows` and its halves as they were before both went through
+`tableau._unpack`/`_pack`: each column's bits as a '0'/'1' string
+(`_column_bits`), transposed through `zip` (`_transpose`); those two helpers
+left `src/` for this file.
 `element_from_coordinates` is the 4**n element of the ideal whose coordinates
 along B_b and B_b * J are a given complex vector, the carrier the
 dense-clifford backend stepped before it kept only the coordinates.
@@ -51,8 +55,8 @@ import numpy as np
 from bladesim.circuit import _ARITY, MAX_QUBITS, MAX_SLOTS, MEASURE, Circuit, GateOp, ParseError
 from bladesim.errors import TableauInvariantError
 from bladesim.statevector import GATES_1Q
-from bladesim.strings import _LETTERS, BladeString, PauliString, pauli_mul, string_mul
-from bladesim.tableau import _column_bits, _indices, _transpose
+from bladesim.strings import _LETTERS, BladeString, PauliString, _pauli, pauli_mul, string_mul
+from bladesim.tableau import _indices
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -440,6 +444,27 @@ def interpret_rule(t, kind: str, rule, qubits: tuple):
             e += 2 * (cols[a] & (cols[b] >> n)).bit_count()
         (kz if l & 1 else kx)[qubits[l >> 1]] = e & 3
     return t
+
+
+def _column_bits(cols: list[int], lo: int, hi: int) -> list[str]:
+    """Bits lo..hi-1 of each column as a '0'/'1' string, bit hi-1 first."""
+    w = hi - lo
+    mask = (1 << w) - 1
+    return [format((c >> lo) & mask, f"0{w}b") for c in cols]
+
+
+def _transpose(text: list[str]) -> list[str]:
+    """Per-column strings (last row first) as per-row strings (column 0 first), first row first."""
+    return ["".join(chars) for chars in zip(*text)][::-1]
+
+
+def reference_rows(t, lo: int, hi: int) -> list[PauliString]:
+    """Rows lo..hi-1 of a column tableau as PauliStrings, each column's bits transposed as '0'/'1' strings."""
+    n = t.n
+    xt, zt = _transpose(_column_bits(t.xs, lo, hi)), _transpose(_column_bits(t.zs, lo, hi))
+    return [
+        _pauli(n, int(x[::-1], 2), int(z[::-1], 2), 2 * ((t.r >> i) & 1)) for i, x, z in zip(range(lo, hi), xt, zt)
+    ]
 
 
 _OCTAL_LETTERS = str.maketrans("0123", "".join(_LETTERS))  # letter code x + 2z as a digit

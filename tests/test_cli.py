@@ -72,25 +72,41 @@ def test_run_reports_byte_identical_modulo_timing(bell_file, tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_ghz1000_report_peaks_under_150_mb(tmp_path):
-    # GHZ-1000 at 10^4 shots writes a 91 MB report, whose records' text is
-    # built a chunk at a time.  The child prints its own peak RSS in kB as
-    # Linux's VmHWM: its ru_maxrss would also hold this process's peak, which
-    # Linux carries over through fork and exec
-    path = tmp_path / "ghz1000.qc"
-    measures = "".join(f"measure {q}\n" for q in range(1000))
-    path.write_text("qubits 1000\nh 0\n" + "".join(f"cnot 0 {q}\n" for q in range(1, 1000)) + measures)
+def _ghz_run_peak_mb(tmp_path, n: int, shots: int) -> float:
+    """Peak RSS in MB of `bladesim run` on GHZ-n with every qubit measured.
+
+    The child prints its own peak RSS in kB as Linux's VmHWM: its ru_maxrss
+    would also hold this process's peak, which Linux carries over through
+    fork and exec.
+    """
+    path = tmp_path / f"ghz{n}.qc"
+    measures = "".join(f"measure {q}\n" for q in range(n))
+    path.write_text(f"qubits {n}\nh 0\n" + "".join(f"cnot 0 {q}\n" for q in range(1, n)) + measures)
     script = (
         "import sys\n"
         "from bladesim.cli import main\n"
-        "assert main(['run', sys.argv[1], '--shots', '10000', '--seed', '1', '--out', sys.argv[2]]) == 0\n"
+        "assert main(['run', sys.argv[1], '--shots', sys.argv[2], '--seed', '1', '--out', sys.argv[3]]) == 0\n"
         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-c", script, str(path), os.devnull]
+    argv = [sys.executable, "-c", script, str(path), str(shots), os.devnull]
     out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) / 1024 < 150, out.stdout
+    return int(out.stdout) / 1024
+
+
+def test_ghz1000_report_peaks_under_150_mb(tmp_path):
+    # GHZ-1000 at 10^4 shots writes a 91 MB report, whose records' text is
+    # built a chunk at a time
+    peak = _ghz_run_peak_mb(tmp_path, 1000, 10_000)
+    assert peak < 150, peak
+
+
+def test_ghz4000_report_peaks_under_150_mb(tmp_path):
+    # GHZ-4000 at 3 shots: the largest arrays are the final stabilizers' 32 MB
+    # bit matrix (`tableau._unpack`) and their 16 MB of lines
+    peak = _ghz_run_peak_mb(tmp_path, 4000, 3)
+    assert peak < 150, peak
 
 
 def test_validate_exit_codes(bell_file, tmp_path, capsys):

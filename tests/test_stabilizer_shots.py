@@ -42,6 +42,13 @@ def test_one_pass_matches_per_shot_loop_on_seeded_circuits():
             _assert_matches_per_shot(circuit, shots, seed=i)
 
 
+def test_one_pass_without_random_outcomes_matches_per_shot_loop():
+    # no draw at all: the draws' rows and the last shot's bits come from no columns
+    for text in ("qubits 2\nmeasure 0\nmeasure 1\n", "qubits 3\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\nmeasure 2\nh 2\n"):
+        for shots in (1, 7):
+            _assert_matches_per_shot(parse(text), shots, seed=5)
+
+
 @given(circuits(max_n=6), st.integers(0, 10_000), st.sampled_from([1, 7]))
 def test_one_pass_matches_per_shot_loop(circuit, seed, shots):
     _assert_matches_per_shot(circuit, shots, seed)

@@ -17,7 +17,7 @@ from bladesim import (
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit
 from bladesim.gates import gate_words, letter_images
 from bladesim.strings import BladeString, reverse_string, string_mul
-from bladesim.tableau import _GATES, _RULES, _compile, _indices, _source
+from bladesim.tableau import _GATES, _RULES, _compile, _indices, _pack, _source, _unpack
 from oracles import (
     IMAGES,
     RowTableau,
@@ -26,6 +26,7 @@ from oracles import (
     pauli_matrix_oracle,
     product,
     reference_expectation,
+    reference_rows,
     reference_stabilizer_lines,
     set_rows,
 )
@@ -117,6 +118,47 @@ def test_stabilizer_lines_match_the_octal_transpose():
         for q in range(n - 1):
             ghz.cnot(q, q + 1)
         assert ghz.stabilizer_lines() == reference_stabilizer_lines(ghz), n
+
+
+def test_row_views_match_the_string_transpose():
+    # `_unpack` and `_pack` against per-column '0'/'1' strings transposed
+    # through `zip`, at the sizes above: random tableaux with random and
+    # deterministic measurements, so that signs and every letter occur
+    rng = np.random.default_rng(6)
+    seen = set()
+    for n in (*range(1, 18), 31, 32, 33, 64, 65, 127, 128, 129, 300):
+        t = Tableau(n)
+        for op in random_clifford_circuit(n, 4 * n, seed=n, gate_kinds=ALL_KINDS, measure_prob=0.2).ops:
+            if op.is_measure:
+                t.measure_z(op.qubits[0], rng)
+            else:
+                t.apply_gate(op)
+        assert t.rows == reference_rows(t, 0, 2 * n), n
+        assert t.destabilizers == reference_rows(t, 0, n), n
+        assert t.stabilizers == reference_rows(t, n, 2 * n), n
+        seen.update(*(row.to_text() for row in t.rows))
+    assert seen >= set("-IXYZ"), seen
+
+
+@pytest.mark.parametrize("lo", [0, 3, 64])
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65, 129])
+def test_unpack_and_pack_round_trip(count, lo):
+    # every bit below lo and 70 bits from lo + count up are set, and must not show
+    rng = random.Random(1000 * count + lo)
+    inner = [0, (1 << count) - 1] + [rng.getrandbits(count) for _ in range(4)]
+    outside = (1 << lo) - 1 | ((1 << 70) - 1) << (lo + count)
+    ints = [v << lo | outside for v in inner]
+    bits = _unpack(ints, lo, count)
+    assert bits.dtype == np.uint8 and bits.shape == (count, len(ints))
+    assert bits.tolist() == [[v >> i & 1 for v in inner] for i in range(count)]
+    assert _pack(bits.T) == inner
+    assert _pack(bits) == [sum((v >> i & 1) << j for j, v in enumerate(inner)) for i in range(count)]
+    assert _unpack([], lo, count).shape == (count, 0)
+
+
+def test_pack_of_no_columns_gives_zeros():
+    for k in (0, 1, 5):
+        assert _pack(np.zeros((k, 0), dtype=np.uint8)) == [0] * k
 
 
 def test_native_cz_and_swap_match_their_compositions():
