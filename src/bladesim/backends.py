@@ -446,9 +446,10 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
     """Execute a circuit and return its report, a dict that `cli.report_text` writes as JSON.
 
     "records" is the sampler's read-only (shots, measurements) uint8 array
-    of 0s and 1s; every other value is JSON-ready.  The report is identical
-    for identical (circuit, backend, shots, seed) except for the "timing"
-    section.
+    of 0s and 1s, and a stabilizer run's final "stabilizers" the tableau's
+    read-only bytes array of lines (`Tableau.stabilizer_lines`); every other
+    value is JSON-ready.  The report is identical for identical (circuit,
+    backend, shots, seed) except for the "timing" section.
     """
     shots, seed = _check_args(shots, seed)
     if backend not in BACKENDS:

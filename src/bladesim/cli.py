@@ -85,16 +85,17 @@ def report_text(report) -> str:
     With `indent` set, json encodes in pure Python.  Here the text is built
     as a list of pieces (`_report_pieces`) and joined once; the CLI writes
     the pieces without the join.  A dict with str keys is walked in sorted
-    key order and a list item by item.  A 2-D uint8 array of 0s and
-    1s (a run's records) is written from one row template, as its `tolist()`
-    would be (`_bit_rows`); any other array is written as its `tolist()`.  A
-    list of lists of numbers, bools and None (a state vector's [re, im]
-    pairs, or records as lists) is json's compact text, broken into lines at
-    its brackets and commas.  A list of str (a state's stabilizer lines) is
-    its escaped items joined by line breaks, and a value that is no list or
-    dict, or is empty, is json's compact text.  A dict with other keys is
-    json's own text with its lines moved to the value's depth: json escapes
-    newlines inside strings, so each newline it writes is indent.
+    key order and a list item by item.  A 2-D uint8 array of 0s and 1s (a
+    run's records) is written from one row template, as its `tolist()` would
+    be (`_bit_rows`).  A 1-D bytes array (a stabilizer run's final lines) is
+    written as its items decoded would be, a chunk of items per `bytes.join`
+    (`_ascii_lines`).  Any other array is written as its `tolist()`.  A list
+    of lists of numbers, bools and None (a state vector's [re, im] pairs, or
+    records as lists) is json's compact text, broken into lines at its
+    brackets and commas, and a value that is no list or dict, or is empty,
+    is json's compact text.  A dict with other keys is json's own text with
+    its lines moved to the value's depth: json escapes newlines inside
+    strings, so each newline it writes is indent.
     """
     return "".join(_report_pieces(report))
 
@@ -108,11 +109,17 @@ def _report_pieces(report) -> list[str]:
 
 
 def _encode(value, newline: str, out: list) -> None:
-    """Append `value` to `out` as json.dumps indents it, where `newline` is a line break and the value's own indent."""
+    """Append `value` to `out` as json.dumps indents it, where `newline` is a line break and the value's own indent.
+
+    Arrays are written as `report_text` says: a bytes array as its decoded
+    items, any other as its `tolist()`.
+    """
     inner = newline + "  "
     if isinstance(value, np.ndarray):
         if value.ndim == 2 and len(value) and value.dtype == np.uint8 and value.max(initial=0) <= 1:
             _bit_rows(value, newline, out)
+        elif value.ndim == 1 and len(value) and value.dtype.kind == "S":
+            _ascii_lines(value, newline, out)
         else:
             _encode(value.tolist(), newline, out)
     elif not isinstance(value, (list, tuple, dict)) or not value:
@@ -124,9 +131,6 @@ def _encode(value, newline: str, out: list) -> None:
         out.append(newline + "}")
     elif isinstance(value, dict):
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
-    elif type(value) is list and set(map(type, value)) == {str}:
-        # a tableau's stabilizer lines: each item is one escaped string, so one join writes the list
-        out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + newline + "]")
     elif (
         type(value) is list
         and set(map(type, value)) == {list}
@@ -171,6 +175,28 @@ def _bit_rows(rows: np.ndarray, newline: str, out: list) -> None:
         text = memoryview(part.reshape(-1))
         out.append(str(text if first + chunk < count else text[: -len(sep)], "ascii"))
     out.append(newline + "]")
+
+
+def _ascii_lines(lines: np.ndarray, newline: str, out: list) -> None:
+    """Append a 1-D bytes array, with at least one item, to `out` as `_encode` writes its items decoded.
+
+    Each item is written between quotes as it is: it must hold only ASCII
+    characters that JSON does not escape, as a tableau's stabilizer lines
+    (`+ - I X Y Z`) do.  The items are joined MAX_SHOTS bytes at a time,
+    each chunk with one `bytes.join` of its `tolist()` and one decode, so
+    the text of all the lines is never held as one str.  The separator
+    after a chunk's last item is the join's, with an empty item appended.
+    """
+    inner = newline + "  "
+    joint = ('",' + inner + '"').encode()
+    chunk = max(1, MAX_SHOTS // (lines.itemsize + len(joint)))
+    out.append("[" + inner + '"')
+    for first in range(0, len(lines), chunk):
+        items = lines[first : first + chunk].tolist()
+        if first + chunk < len(lines):
+            items.append(b"")
+        out.append(joint.join(items).decode("ascii"))
+    out.append('"' + newline + "]")
 
 
 def _cmd_run(args) -> int:

@@ -46,8 +46,10 @@ row products, one popcount per letter, and reads no column outside the
 string's support.
 
 `rows`, `destabilizers` and `stabilizers` are read-only PauliString views,
-and `stabilizer_lines` their text: both unpack their rows from the columns
-as a 0/1 matrix (`_unpack`); a view packs its x and z halves back (`_pack`).
+and `stabilizer_lines` their text, one read-only bytes array: both unpack
+their rows from the columns as a 0/1 matrix (`_unpack`).  A view packs its x
+and z halves back (`_pack`); the lines write each block of rows' letters
+into one byte matrix, whose rows the array views.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ from .strings import PauliString, _pauli, pauli_mul  # noqa: F401
 
 
 _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
+# stabilizer_lines unpacks this many rows at a time: 64 bytes of each column
+_LINE_BLOCK = 512
 
 
 def _indices(mask: int):
@@ -272,25 +276,32 @@ class Tableau:
     def stabilizers(self) -> list[PauliString]:
         return self._rows(self.n, 2 * self.n)
 
-    def stabilizer_lines(self) -> list[str]:
-        """One row per line with explicit sign, e.g. '+XX'.
+    def stabilizer_lines(self) -> np.ndarray:
+        """One row per line with explicit sign, e.g. b'+XX': a read-only 1-D array of dtype S{n+1}.
 
-        The stabilizer half of the columns and of the signs is unpacked to
-        one 0/1 matrix with a row per stabilizer (`_unpack`).  A letter's
-        byte from its x and z bits is 73 + 15x + 17z - 16xz, which gives I, X,
-        Z and Y; the text is decoded once and cut into lines.
+        The array is a view of one (n, n + 1) uint8 letter matrix, filled
+        _LINE_BLOCK rows at a time: each block of stabilizers is unpacked
+        from the columns and the signs to a 0/1 matrix (`_unpack`), so only
+        one block's bits are held beside the letters.  A letter's byte from
+        its x and z bits is 73 + 15x + 17z - 16xz, which gives I, X, Z and Y.
+        `.astype(str)` gives the lines as str.
         """
         n = self.n
-        bits = _unpack((*self.xs, *self.zs, self.r), n, n)
-        x, z = bits[:, :n], bits[:, n : 2 * n]
-        lines = np.empty((n, n + 1), dtype=np.uint8)
-        lines[:, 0] = _SIGN_BYTES[bits[:, 2 * n]]
-        lines[:, 1:] = 73 + 15 * x + 17 * z - 16 * (x & z)
-        text = lines.tobytes().decode()
-        return [text[i : i + n + 1] for i in range(0, n * (n + 1), n + 1)]
+        cols = (*self.xs, *self.zs, self.r)
+        letters = np.empty((n, n + 1), dtype=np.uint8)
+        for lo in range(0, n, _LINE_BLOCK):
+            count = min(_LINE_BLOCK, n - lo)
+            bits = _unpack(cols, n + lo, count)
+            x, z = bits[:, :n], bits[:, n : 2 * n]
+            block = letters[lo : lo + count]
+            block[:, 0] = _SIGN_BYTES[bits[:, 2 * n]]
+            block[:, 1:] = 73 + 15 * x + 17 * z - 16 * (x & z)
+        lines = letters.view(f"S{n + 1}").reshape(n)
+        lines.flags.writeable = False
+        return lines
 
     def __str__(self) -> str:
-        return "\n".join(self.stabilizer_lines())
+        return b"\n".join(self.stabilizer_lines().tolist()).decode()
 
     def h(self, q: int) -> "Tableau":
         return _GATES["h"](self, (q,))

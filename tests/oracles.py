@@ -29,6 +29,7 @@ left `src/` for this file.
 `element_from_coordinates` is the 4**n element of the ideal whose coordinates
 along B_b and B_b * J are a given complex vector, the carrier the
 dense-clifford backend stepped before it kept only the coordinates.
+`json_ready` turns a report's arrays into the JSON values its text holds.
 `per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and
 the Born enumeration as they were before both became one walk over outcome
 prefixes: every shot evolved on its own, and a stack of state-vector branches.
@@ -196,6 +197,23 @@ def graded_mul(a, b):
         shift <<= 1
     flips = ((a.e1 ^ a.e2) & (odd << 1)).bit_count()
     return BladeString(a.n, ab.e1, ab.e2, -ab.sign if flips & 1 else ab.sign)
+
+
+def json_ready(value):
+    """A report, or any value in one, with its arrays as the JSON values the written report holds.
+
+    A bytes array (a tableau's stabilizer lines) becomes its items decoded
+    and any other array (a run's records) its `tolist()`; dicts and lists are
+    walked.  So whole reports compare with ==, and `json.dumps(...,
+    default=json_ready)` writes them.
+    """
+    if isinstance(value, np.ndarray):
+        return value.astype(str).tolist() if value.dtype.kind == "S" else value.tolist()
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_ready(v) for v in value]
+    return value
 
 
 def _shot_rng(seed: int, shot: int):

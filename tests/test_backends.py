@@ -31,7 +31,7 @@ from bladesim import statevector as sv
 from bladesim.backends import BACKENDS, BRANCH_EPS, CODE_BITS, _dense_backend, _distinct, _ideal_project, _tally
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import circuits
-from oracles import circuit_unitary, element_from_coordinates, per_record_counts, random_dense
+from oracles import circuit_unitary, element_from_coordinates, json_ready, per_record_counts, random_dense
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 CERTAIN = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")  # no random outcome
@@ -41,11 +41,6 @@ ENTRY_POINTS = [pytest.param(functools.partial(run, backend=b), id=b) for b in B
 ]
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
 EXACT_CHECKS = ("tableau_invariants", "stabilizer_rows_fix_oracle_state", "dense_clifford_matches_statevector")
-
-
-def _with_record_lists(report: dict) -> dict:
-    """The report with a run's records array as lists, so that whole reports compare with ==."""
-    return {**report, "records": report["records"].tolist()} if "records" in report else report
 
 
 def test_bell_counts_on_every_backend():
@@ -110,10 +105,10 @@ def test_reports_are_deterministic():
     b = run(BELL, backend="stabilizer", shots=50, seed=3)
     a.pop("timing")
     b.pop("timing")
-    assert _with_record_lists(a) == _with_record_lists(b)
+    assert json_ready(a) == json_ready(b)
     c = run(BELL, backend="stabilizer", shots=50, seed=4)
     c.pop("timing")
-    assert _with_record_lists(a) != _with_record_lists(c)
+    assert json_ready(a) != json_ready(c)
 
 
 def test_explicit_slot_mapping():
@@ -176,7 +171,7 @@ def test_numpy_integer_arguments_are_reported_as_python_ints(entry):
     report.pop("timing", None)
     plain = entry(BELL, shots=40, seed=3)
     plain.pop("timing", None)
-    assert _with_record_lists(report) == _with_record_lists(plain)
+    assert json_ready(report) == json_ready(plain)
 
 
 def test_json_pair_helpers():

@@ -103,10 +103,18 @@ def test_ghz1000_report_peaks_under_150_mb(tmp_path):
 
 
 def test_ghz4000_report_peaks_under_150_mb(tmp_path):
-    # GHZ-4000 at 3 shots: the largest arrays are the final stabilizers' 32 MB
-    # bit matrix (`tableau._unpack`) and their 16 MB of lines
+    # GHZ-4000 at 3 shots: the largest arrays are the final stabilizers' 16 MB
+    # letter matrix and the 16 MB of its written text; their bits are
+    # unpacked 512 rows (4 MB) at a time
     peak = _ghz_run_peak_mb(tmp_path, 4000, 3)
     assert peak < 150, peak
+
+
+def test_ghz8192_report_peaks_under_250_mb(tmp_path):
+    # GHZ-8192 at 3 shots: a 34 MB tableau, a 67 MB letter matrix and 67 MB
+    # of report text; the rows' whole 134 MB bit matrix must never be alive
+    peak = _ghz_run_peak_mb(tmp_path, 8192, 3)
+    assert peak < 250, peak
 
 
 def test_validate_exit_codes(bell_file, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """`cli.report_text` against `json.dumps(value, sort_keys=True, indent=2) + "\\n"`, byte for byte.
 
-A run's records are a uint8 array; the expected text writes an array as its
-`tolist()`.  The writer walks dicts and lists itself, writes a 2-D array of
-0s and 1s from one row template a bounded number of bytes at a time, and
-breaks the compact text of rows of numbers into lines.  So the values here
+A run's records are a uint8 array and a stabilizer run's final lines a bytes
+array; the expected text writes an array as the JSON value the report holds
+(`oracles.json_ready`).  The writer walks dicts and lists itself, writes a
+2-D array of 0s and 1s from one row template and the lines by `bytes.join`,
+each a bounded number of bytes at a time, and breaks the compact text of
+rows of numbers into lines.  So the values here
 cover real run and validate reports, arrays of every shape, layout and
 chunking, arrays the template must refuse, the rows json must keep apart
 although they compare equal (1, True and 1.0), and arbitrary JSON values.
@@ -25,6 +27,7 @@ from bladesim import parse, run, validate
 from bladesim.backends import BACKENDS
 from bladesim.cli import report_text
 from corpus import VALID_FILES, circuits
+from oracles import json_ready
 
 CIRCUIT_DIR = Path(__file__).resolve().parent.parent / "circuits"
 SHIPPED = {p.stem: p.read_text(encoding="utf-8") for p in sorted(CIRCUIT_DIR.glob("*.qc"))}
@@ -33,7 +36,7 @@ NO_MEASURE = "qubits 2\nh 0\ncnot 0 1\n"  # records [[], [], ...]
 
 
 def expected(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2, default=json_ready) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -246,8 +249,9 @@ def test_bit_arrays(bits, layout):
         np.zeros((3, 0), dtype=np.uint8),
         np.array([[[0, 1]], [[1, 0]]], dtype=np.uint8),
         np.array([[0.5, 1.0]]),
+        np.array([], dtype="S3"),
     ],
-    ids=["a 2", "a 255", "int64", "1-D", "empty 1-D", "no rows", "empty rows", "3-D", "float64"],
+    ids=["a 2", "a 255", "int64", "1-D", "empty 1-D", "no rows", "empty rows", "3-D", "float64", "no lines"],
 )
 def test_arrays_the_template_does_not_take(value):
     for wrapped in (value, {"records": value}, [[value]]):
@@ -262,3 +266,15 @@ def test_template_chunks(monkeypatch, cells):
     want = expected({"records": bits})
     monkeypatch.setattr(bladesim.cli, "MAX_SHOTS", cells)
     assert report_text({"records": bits}) == want
+
+
+@pytest.mark.parametrize("limit", [1, 7, 64])
+def test_stabilizer_lines_cross_writer_chunks(monkeypatch, limit):
+    # a GHZ-n line in a report takes n + 11 bytes with its separator, so under
+    # these limits a chunk holds one line or a few, and GHZ-10 ends on a
+    # chunk of one
+    monkeypatch.setattr(bladesim.cli, "MAX_SHOTS", limit)
+    for n in (1, 2, 9, 10, 20, 70):
+        body = "h 0\n" + "".join(f"cnot 0 {q}\n" for q in range(1, n)) + "measure 0\n"
+        report = run(parse(f"qubits {n}\n" + body), "stabilizer", shots=3, seed=1)
+        assert report_text(report) == json.dumps(json_ready(report), sort_keys=True, indent=2) + "\n", n

@@ -15,7 +15,7 @@ from bladesim import parse, random_clifford_circuit, run, validate
 from bladesim.backends import _stabilizer_shots
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from corpus import circuits
-from oracles import _shot_rng, per_shot_stabilizer
+from oracles import _shot_rng, json_ready, per_shot_stabilizer
 
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
 EXACT_CHECKS = ("tableau_invariants", "stabilizer_rows_fix_oracle_state", "dense_clifford_matches_statevector")
@@ -26,7 +26,7 @@ def _assert_matches_per_shot(circuit, shots: int, seed: int):
     report = run(circuit, "stabilizer", shots=shots, seed=seed)
     records, lines = per_shot_stabilizer(circuit, shots, seed)
     assert report["records"].tolist() == records
-    assert report["final"] == {"stabilizers": lines}
+    assert json_ready(report["final"]) == {"stabilizers": json_ready(lines)}
 
 
 def test_one_pass_matches_per_shot_loop_on_seeded_circuits():

@@ -23,6 +23,7 @@ from oracles import (
     RowTableau,
     gate_unitary,
     interpret_rule,
+    json_ready,
     pauli_matrix_oracle,
     product,
     reference_expectation,
@@ -72,7 +73,7 @@ def assert_lockstep(circuit, seed: int) -> None:
     values = rng.getrandbits(max(len(draws), 1))
     assert cols.assign(values).rows == rows.assign(values).rows, seed
     assert_phases(cols, (seed, "assign"))
-    assert cols.stabilizer_lines() == [("+" if r.k == 0 else "") + r.to_text() for r in rows.rows[n:]], seed
+    assert json_ready(cols.stabilizer_lines()) == [("+" if r.k == 0 else "") + r.to_text() for r in rows.rows[n:]], seed
     cols.check_invariants()
 
 
@@ -104,20 +105,32 @@ def test_columns_match_row_engine_on_wide_circuits():
 def test_stabilizer_lines_match_the_octal_transpose():
     # the byte-matrix letters against the per-column octal strings, on random
     # tableaux (gates and random and deterministic measurements, so signs and
-    # every letter occur) and on GHZ-n, across byte boundaries of n
+    # every letter occur) and on GHZ-n, across byte boundaries of n and the
+    # 512-row blocks the lines are built in
     rng = np.random.default_rng(5)
-    for n in (*range(1, 18), 31, 32, 33, 64, 65, 127, 128, 129, 300):
+    for n in (*range(1, 18), 31, 32, 33, 64, 65, 127, 128, 129, 300, 511, 512, 513, 1025):
         t = Tableau(n)
         for op in random_clifford_circuit(n, 4 * n, seed=n, gate_kinds=ALL_KINDS, measure_prob=0.2).ops:
             if op.is_measure:
                 t.measure_z(op.qubits[0], rng)
             else:
                 t.apply_gate(op)
-        assert t.stabilizer_lines() == reference_stabilizer_lines(t), n
+        lines, want = t.stabilizer_lines(), reference_stabilizer_lines(t)
+        assert lines.dtype == np.dtype(f"S{n + 1}") and lines.shape == (n,), n
+        assert json_ready(lines) == want, n
+        if n >= 32:
+            assert {line[0] for line in want} == {"+", "-"} and set("".join(want)) == set("+-IXYZ"), n
         ghz = Tableau(n).h(0)
         for q in range(n - 1):
             ghz.cnot(q, q + 1)
-        assert ghz.stabilizer_lines() == reference_stabilizer_lines(ghz), n
+        assert json_ready(ghz.stabilizer_lines()) == reference_stabilizer_lines(ghz), n
+
+
+def test_stabilizer_lines_are_read_only():
+    lines = Tableau(3).h(0).stabilizer_lines()
+    with pytest.raises(ValueError, match="read-only"):
+        lines[0] = b"-XII"
+    assert str(Tableau(3).h(0)) == "+XII\n+IZI\n+IIZ"
 
 
 def test_row_views_match_the_string_transpose():
@@ -177,10 +190,10 @@ def test_native_cz_and_swap_match_their_compositions():
 
 def test_fresh_tableau():
     t = Tableau(1)
-    assert t.stabilizer_lines() == ["+Z"]
+    assert json_ready(t.stabilizer_lines()) == ["+Z"]
     assert [r.to_text() for r in t.destabilizers] == ["X"]
     t3 = Tableau(3)
-    assert t3.stabilizer_lines() == ["+ZII", "+IZI", "+IIZ"]
+    assert json_ready(t3.stabilizer_lines()) == ["+ZII", "+IZI", "+IIZ"]
     with pytest.raises(ValueError):
         Tableau(0)
 
@@ -382,9 +395,9 @@ def test_two_qubit_column_formulas_match_blade_word_conjugation():
 
 
 def test_hadamard_and_bell():
-    assert Tableau(1).h(0).stabilizer_lines() == ["+X"]
+    assert json_ready(Tableau(1).h(0).stabilizer_lines()) == ["+X"]
     bell = Tableau(2).h(0).cnot(0, 1)
-    assert bell.stabilizer_lines() == ["+XX", "+ZZ"]
+    assert json_ready(bell.stabilizer_lines()) == ["+XX", "+ZZ"]
     assert str(bell) == "+XX\n+ZZ"
     bell.check_invariants()
 
@@ -600,7 +613,7 @@ def test_copy_is_independent():
     c = t.copy()
     assert (c.kz, c.kx) == (t.kz, t.kx)
     c.cnot(0, 1).s(0)
-    assert t.stabilizer_lines() != c.stabilizer_lines()
+    assert json_ready(t.stabilizer_lines()) != json_ready(c.stabilizer_lines())
     assert (t.kz, t.kx) == ([0, 0], [0, 0]) and c.kx != t.kx
     assert_phases(t, "original")
     assert_phases(c, "copy")
