@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -70,8 +71,12 @@ def parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _write_pieces(path: str | None, pieces: list[str]) -> None:
-    """Write the pieces in order, to stdout when `path` is None or "-", without joining them first."""
+def _write_pieces(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces in order as they come, to stdout when `path` is None or "-", without joining them.
+
+    A file is opened before the first piece is asked for, so a report whose
+    encoding fails part-way leaves the pieces written so far.
+    """
     if path is None or path == "-":
         sys.stdout.writelines(pieces)
     else:
@@ -82,55 +87,58 @@ def _write_pieces(path: str | None, pieces: list[str]) -> None:
 def report_text(report) -> str:
     """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, for any JSON value, without json's slow path.
 
-    With `indent` set, json encodes in pure Python.  Here the text is built
-    as a list of pieces (`_report_pieces`) and joined once; the CLI writes
-    the pieces without the join.  A dict with str keys is walked in sorted
-    key order and a list item by item.  A 2-D uint8 array of 0s and 1s (a
-    run's records) is written from one row template, as its `tolist()` would
-    be (`_bit_rows`).  A 1-D bytes array (a stabilizer run's final lines) is
-    written as its items decoded would be, a chunk of items per `bytes.join`
-    (`_ascii_lines`).  Any other array is written as its `tolist()`.  A list
-    of lists of numbers, bools and None (a state vector's [re, im] pairs, or
-    records as lists) is json's compact text, broken into lines at its
-    brackets and commas, and a value that is no list or dict, or is empty,
-    is json's compact text.  A dict with other keys is json's own text with
-    its lines moved to the value's depth: json escapes newlines inside
-    strings, so each newline it writes is indent.
+    With `indent` set, json encodes in pure Python.  Here the text is the
+    join of the pieces `_report_pieces` yields; the CLI writes each piece as
+    it is made, so at most one chunk of an array's text is held.  A dict
+    with str keys is walked in sorted key order and a list item by item.  A
+    2-D uint8 array of 0s and 1s (a run's records) is written as its
+    `tolist()` would be, and a 1-D bytes array with no NUL byte (a
+    stabilizer run's final lines) as its items decoded would be, both from
+    one row template (`_rows`).  Any other bytes array is written as its
+    items decoded and any other array as its `tolist()`.  A list of lists of
+    numbers, bools and None (a state vector's [re, im] pairs, or records as
+    lists) is json's compact text, broken into lines at its brackets and
+    commas, and a value that is no list or dict, or is empty, is json's
+    compact text.  A dict with other keys is json's own text with its lines
+    moved to the value's depth: json escapes newlines inside strings, so
+    each newline it writes is indent.
     """
     return "".join(_report_pieces(report))
 
 
-def _report_pieces(report) -> list[str]:
-    """The pieces whose join is `report_text(report)`."""
-    out = []
-    _encode(report, "\n", out)
-    out.append("\n")
-    return out
+def _report_pieces(report) -> Iterator[str]:
+    """Yield the pieces whose join is `report_text(report)`, each made when it is asked for."""
+    yield from _encode(report, "\n")
+    yield "\n"
 
 
-def _encode(value, newline: str, out: list) -> None:
-    """Append `value` to `out` as json.dumps indents it, where `newline` is a line break and the value's own indent.
+def _encode(value, newline: str) -> Iterator[str]:
+    """Yield `value`'s text as json.dumps indents it, where `newline` is a line break and the value's own indent.
 
-    Arrays are written as `report_text` says: a bytes array as its decoded
-    items, any other as its `tolist()`.
+    Arrays are written as `report_text` says.  The pieces come in order and
+    none is held after it is yielded, so a consumer that writes them holds
+    one piece at a time.
     """
     inner = newline + "  "
     if isinstance(value, np.ndarray):
         if value.ndim == 2 and len(value) and value.dtype == np.uint8 and value.max(initial=0) <= 1:
-            _bit_rows(value, newline, out)
-        elif value.ndim == 1 and len(value) and value.dtype.kind == "S":
-            _ascii_lines(value, newline, out)
+            width, deeper = value.shape[1], inner + "  "
+            row = "[" + ",".join([deeper + "0"] * width) + inner + "]" if width else "[]"
+            step = len(deeper) + 2
+            yield from _rows(value, row, slice(step - 1, step * width, step), ord("0"), newline)
+        elif value.ndim == 1 and len(value) and value.dtype.kind == "S" and (letters := value[:, None].view(np.uint8)).all():
+            yield from _rows(letters, '"' + "0" * value.itemsize + '"', slice(1, 1 + value.itemsize), 0, newline)
         else:
-            _encode(value.tolist(), newline, out)
+            yield from _encode(value.astype(str).tolist() if value.dtype.kind == "S" else value.tolist(), newline)
     elif not isinstance(value, (list, tuple, dict)) or not value:
-        out.append(json.dumps(value))  # no line breaks to indent, so the C encoder gives the same text
+        yield json.dumps(value)  # no line breaks to indent, so the C encoder gives the same text
     elif type(value) is dict and set(map(type, value)) == {str}:
         for sep, key in zip(chain("{", repeat(",")), sorted(value)):
-            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
-            _encode(value[key], inner, out)
-        out.append(newline + "}")
+            yield sep + inner + encode_basestring_ascii(key) + ": "
+            yield from _encode(value[key], inner)
+        yield newline + "}"
     elif isinstance(value, dict):
-        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
     elif (
         type(value) is list
         and set(map(type, value)) == {list}
@@ -140,63 +148,40 @@ def _encode(value, newline: str, out: list) -> None:
         deeper = inner + "  "
         text = json.dumps(value, separators=(",", ":"))[1:-1].replace(",", "," + deeper)
         text = text.replace("]," + deeper + "[", "]," + inner + "[").replace("[", "[" + deeper).replace("]", inner + "]")
-        out.append("[" + inner + text.replace("[" + deeper + inner + "]", "[]") + newline + "]")
+        yield "[" + inner + text.replace("[" + deeper + inner + "]", "[]") + newline + "]"
     else:
         for sep, item in zip(chain("[", repeat(",")), value):
-            out.append(sep + inner)
-            _encode(item, inner, out)
-        out.append(newline + "]")
+            yield sep + inner
+            yield from _encode(item, inner)
+        yield newline + "]"
 
 
-def _bit_rows(rows: np.ndarray, newline: str, out: list) -> None:
-    """Append a 2-D array of 0s and 1s, with at least one row, to `out` as `_encode` writes its `tolist()`.
+def _rows(cells: np.ndarray, row: str, columns: slice, offset: int, newline: str) -> Iterator[str]:
+    """Yield a JSON list of fixed-width rows, one per row of the 2-D uint8 `cells`, which has at least one.
 
-    Each row's text, with the comma and line break after it, has one width,
-    and its digits sit in fixed columns.  So the rows are copies of one
-    template with the digits added in by array assignment, MAX_SHOTS bytes
-    at a time: a chunk's template copies are still in cache when its digits
-    are added, and each chunk is decoded on its own, so only one chunk's
-    byte matrix is held beside the text.  The last chunk drops the
-    separator after the last row.
+    Each row's text is `row` with the cells' bytes plus `offset` in its
+    `columns`: a record's digits (offset ord("0")) between its brackets, or
+    a stabilizer line's letters (offset 0) between its quotes.  The letters
+    must be ASCII characters that JSON does not escape, as `+ - I X Y Z`
+    are.  With the comma and line break after it every row has one width,
+    so the rows are copies of one template with the cells added in by array
+    assignment, MAX_SHOTS bytes at a time: a chunk's template copies are
+    still in cache when its cells are added, and each chunk is decoded and
+    yielded on its own, so only one chunk's bytes and text are held.  The
+    last chunk drops the separator after the last row.
     """
-    count, width = rows.shape
-    inner = newline + "  "
-    deeper = inner + "  "
+    count, inner = len(cells), newline + "  "
     sep = "," + inner
-    row = "[" + ",".join([deeper + "0"] * width) + inner + "]" if width else "[]"
     template = np.frombuffer((row + sep).encode(), dtype=np.uint8)
-    first_digit, step = 1 + len(deeper), len(deeper) + 2
     chunk = max(1, MAX_SHOTS // len(template))
-    out.append("[" + inner)
+    yield "[" + inner
     for first in range(0, count, chunk):
         part = np.empty((min(chunk, count - first), len(template)), dtype=np.uint8)
         part[:] = template
-        np.add(rows[first : first + chunk], ord("0"), out=part[:, first_digit : first_digit + step * width : step])
+        np.add(cells[first : first + chunk], offset, out=part[:, columns])
         text = memoryview(part.reshape(-1))
-        out.append(str(text if first + chunk < count else text[: -len(sep)], "ascii"))
-    out.append(newline + "]")
-
-
-def _ascii_lines(lines: np.ndarray, newline: str, out: list) -> None:
-    """Append a 1-D bytes array, with at least one item, to `out` as `_encode` writes its items decoded.
-
-    Each item is written between quotes as it is: it must hold only ASCII
-    characters that JSON does not escape, as a tableau's stabilizer lines
-    (`+ - I X Y Z`) do.  The items are joined MAX_SHOTS bytes at a time,
-    each chunk with one `bytes.join` of its `tolist()` and one decode, so
-    the text of all the lines is never held as one str.  The separator
-    after a chunk's last item is the join's, with an empty item appended.
-    """
-    inner = newline + "  "
-    joint = ('",' + inner + '"').encode()
-    chunk = max(1, MAX_SHOTS // (lines.itemsize + len(joint)))
-    out.append("[" + inner + '"')
-    for first in range(0, len(lines), chunk):
-        items = lines[first : first + chunk].tolist()
-        if first + chunk < len(lines):
-            items.append(b"")
-        out.append(joint.join(items).decode("ascii"))
-    out.append('"' + newline + "]")
+        yield str(text if first + chunk < count else text[: -len(sep)], "ascii")
+    yield newline + "]"
 
 
 def _cmd_run(args) -> int:

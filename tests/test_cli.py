@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -72,49 +74,93 @@ def test_run_reports_byte_identical_modulo_timing(bell_file, tmp_path):
     assert docs[0] == docs[1]
 
 
-def _ghz_run_peak_mb(tmp_path, n: int, shots: int) -> float:
-    """Peak RSS in MB of `bladesim run` on GHZ-n with every qubit measured.
-
-    The child prints its own peak RSS in kB as Linux's VmHWM: its ru_maxrss
-    would also hold this process's peak, which Linux carries over through
-    fork and exec.
-    """
+def _ghz_file(tmp_path, n: int) -> Path:
+    """A GHZ-n circuit file with every qubit measured."""
     path = tmp_path / f"ghz{n}.qc"
     measures = "".join(f"measure {q}\n" for q in range(n))
     path.write_text(f"qubits {n}\nh 0\n" + "".join(f"cnot 0 {q}\n" for q in range(1, n)) + measures)
+    return path
+
+
+def _ghz_run_peak_mb(tmp_path, n: int, shots: int) -> tuple[float, float]:
+    """Peak RSS in MB, and `main()`'s wall time in s, of `bladesim run` on GHZ-n with every qubit measured.
+
+    The child prints its own peak RSS in kB as Linux's VmHWM: its ru_maxrss
+    would also hold this process's peak, which Linux carries over through
+    fork and exec.  Both figures are printed too (`pytest -s` shows them),
+    so the GHZ figures quoted in the docs come from this helper.
+    """
     script = (
-        "import sys\n"
+        "import sys, time\n"
         "from bladesim.cli import main\n"
+        "start = time.perf_counter()\n"
         "assert main(['run', sys.argv[1], '--shots', sys.argv[2], '--seed', '1', '--out', sys.argv[3]]) == 0\n"
-        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "wall = time.perf_counter() - start\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')), wall)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-c", script, str(path), str(shots), os.devnull]
+    argv = [sys.executable, "-c", script, str(_ghz_file(tmp_path, n)), str(shots), os.devnull]
     out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return int(out.stdout) / 1024
+    kb, wall = out.stdout.split()
+    peak = int(kb) / 1024
+    print(f"GHZ-{n} at {shots} shots: VmHWM {peak:.1f} MB, main() {float(wall):.3f} s")
+    return peak, float(wall)
 
 
 def test_ghz1000_report_peaks_under_150_mb(tmp_path):
-    # GHZ-1000 at 10^4 shots writes a 91 MB report, whose records' text is
-    # built a chunk at a time
-    peak = _ghz_run_peak_mb(tmp_path, 1000, 10_000)
+    # GHZ-1000 at 10^4 shots writes a 91 MB report; its records' text is
+    # made and written a chunk at a time
+    peak, _ = _ghz_run_peak_mb(tmp_path, 1000, 10_000)
     assert peak < 150, peak
 
 
+def test_ghz1000_report_streams_under_80_mb(tmp_path):
+    # the same run holds its 10 MB of records and one MAX_SHOTS chunk of
+    # their text, about 47 MB in all; holding the whole 91 MB text until the
+    # write would peak near 134 MB
+    peak, _ = _ghz_run_peak_mb(tmp_path, 1000, 10_000)
+    assert peak < 80, peak
+
+
 def test_ghz4000_report_peaks_under_150_mb(tmp_path):
-    # GHZ-4000 at 3 shots: the largest arrays are the final stabilizers' 16 MB
-    # letter matrix and the 16 MB of its written text; their bits are
-    # unpacked 512 rows (4 MB) at a time
-    peak = _ghz_run_peak_mb(tmp_path, 4000, 3)
+    # GHZ-4000 at 3 shots: the largest array is the final stabilizers' 16 MB
+    # letter matrix; their bits are unpacked 512 rows (4 MB) at a time, and
+    # its text is written a chunk at a time
+    peak, _ = _ghz_run_peak_mb(tmp_path, 4000, 3)
     assert peak < 150, peak
 
 
 def test_ghz8192_report_peaks_under_250_mb(tmp_path):
-    # GHZ-8192 at 3 shots: a 34 MB tableau, a 67 MB letter matrix and 67 MB
-    # of report text; the rows' whole 134 MB bit matrix must never be alive
-    peak = _ghz_run_peak_mb(tmp_path, 8192, 3)
+    # GHZ-8192 at 3 shots: a 34 MB tableau and a 67 MB letter matrix, whose
+    # text is written a chunk at a time; the rows' whole 134 MB bit matrix
+    # must never be alive
+    peak, _ = _ghz_run_peak_mb(tmp_path, 8192, 3)
     assert peak < 250, peak
+
+
+def test_stdout_report_streams(tmp_path, monkeypatch):
+    # the guards above write through --out; this run writes 38.5 MB of text
+    # to stdout and should hold only its 4 MB of records and one chunk of
+    # their text (about 7 MB traced; the whole text held would trace 42 MB)
+    class Sink(io.TextIOBase):
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+            return len(text)
+
+    path = _ghz_file(tmp_path, 64)
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["run", str(path), "--shots", "65536", "--seed", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 38_000_000, sink.chars
+    assert peak < 16, peak
 
 
 def test_validate_exit_codes(bell_file, tmp_path, capsys):

@@ -3,9 +3,9 @@
 A run's records are a uint8 array and a stabilizer run's final lines a bytes
 array; the expected text writes an array as the JSON value the report holds
 (`oracles.json_ready`).  The writer walks dicts and lists itself, writes a
-2-D array of 0s and 1s from one row template and the lines by `bytes.join`,
-each a bounded number of bytes at a time, and breaks the compact text of
-rows of numbers into lines.  So the values here
+2-D array of 0s and 1s and the lines through one row-template writer, a
+bounded number of bytes at a time, and breaks the compact text of rows of
+numbers into lines.  So the values here
 cover real run and validate reports, arrays of every shape, layout and
 chunking, arrays the template must refuse, the rows json must keep apart
 although they compare equal (1, True and 1.0), and arbitrary JSON values.
@@ -139,6 +139,9 @@ def test_failing_validate_report(monkeypatch):
         None,
         12,
         "",
+        np.array([b"+X", b"-"]),  # NUL-padded items: written decoded, not from the template
+        np.array([b"a\x00b", b""]),
+        np.array([b"+XX", b"-ZZ", b"+YY"])[::2],  # strided lines
     ],
 )
 def test_hand_built_values(value):
@@ -260,12 +263,14 @@ def test_arrays_the_template_does_not_take(value):
 
 @pytest.mark.parametrize("cells", [1, 2, 56, 57, 58, 114, 200])
 def test_template_chunks(monkeypatch, cells):
-    # a row of 5 outcomes at depth 1 is 57 bytes with its separator, so these
-    # limits build one row, two rows or more at a time
+    # at depth 1 a row of 5 outcomes is 57 bytes with its separator and a
+    # line of 5 letters 13, so these limits build one row, two rows or more
+    # at a time of either kind, and the lines' last chunk may hold one
     bits = np.arange(45, dtype=np.uint8).reshape(9, 5) % 3 % 2
-    want = expected({"records": bits})
+    lines = np.array([b"+XYZI", b"-IIZX", b"+YYYY"] * 3)
+    want = [expected({"records": value}) for value in (bits, lines)]
     monkeypatch.setattr(bladesim.cli, "MAX_SHOTS", cells)
-    assert report_text({"records": bits}) == want
+    assert [report_text({"records": value}) for value in (bits, lines)] == want
 
 
 @pytest.mark.parametrize("limit", [1, 7, 64])
