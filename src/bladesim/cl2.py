@@ -3,10 +3,12 @@
 Generators e1, e2 square to +1 and anticommute; the basis blades are indexed
 0..3 as {1, e1, e2, e12} with e12 = e1*e2.  Bit 0 of a blade index flags an e1
 factor and bit 1 an e2 factor, which is the n = 1 layout of `dense`.  The
-product, its sign rule and reversion are therefore not written here: `gp` and
-`reverse` are `dense_gp` and `reverse_dense`, and `blade_mul` is the packed
-`string_mul` on one-qubit blade strings.  What exists only for a single factor
-(grades, the outer and inner products, the projector) stays in this module.
+product, its sign rule, right multiplication by J and reversion are therefore
+not written here: `gp` and `reverse` are `dense_gp` and `reverse_dense`,
+right multiplication by J is `ideal.right_mul_j`, a `dense_gp` with e12 on
+the right, and `blade_mul` is the packed `string_mul` on one-qubit blade
+strings.  What exists only for a single factor (grades, the outer and inner
+products, the projector) stays in this module.
 """
 
 from __future__ import annotations

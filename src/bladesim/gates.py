@@ -27,7 +27,7 @@ import numpy as np
 from . import dense as _dense
 from .circuit import ONE_QUBIT_GATES, GateOp
 # `dense_gp` stays a module global, unused here: perfbench/tracing.py patches it by name
-from .dense import DenseMultivector, dense_gp  # noqa: F401
+from .dense import DenseMultivector, _dense_bits, dense_gp  # noqa: F401
 from .ideal import OperatorPair
 from .strings import BladeString, reverse_string, string_mul
 
@@ -94,11 +94,6 @@ def letter_images(kind: str) -> tuple[tuple, tuple]:
         return code, ((1, 1j, -1, -1j).index(complex(round(coef.real), round(coef.imag))) + 2 * (e1 & e2).bit_count()) % 4
 
     return tuple(tuple(image(left, right, c) for c in range(1, 4**k)) for left, right in ((u, dagger), (dagger, u)))
-
-
-def _dense_bits(n: int, mask: int, code: int) -> int:
-    """Dense index bits of blade `code` (1 = e1, 2 = e2) at every qubit of a statevector-order mask."""
-    return sum(code << (2 * q) for q in range(n) if (mask >> (n - 1 - q)) & 1)
 
 
 def word_element(n: int, words) -> DenseMultivector:

@@ -13,7 +13,10 @@ The complex basis vector for bitstring b is
 
 and the amplitude of |b> in a state is its coefficient along B_b plus i times
 its coefficient along B_b * e12^(0).  Bitstrings put qubit 0 at the most
-significant position, matching the text form of Pauli strings.
+significant position, matching the text form of Pauli strings.  Both are
+computed as the products they are defined as: B_b is `theta` of the e2 word
+of b, and the complex unit is `dense_gp` with e12 at qubit 0 on the right,
+so the algebra's one sign rule stays in `dense_gp`.
 
 With that dictionary, left multiplication by e1/e2/e12 at qubit j acts as the
 Pauli Z/X/iY matrix on qubit j, and preparing a state with some element and
@@ -42,13 +45,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import dense as _dense
-from .cl2 import E2, gp, idempotent_p
-from .dense import DenseMultivector, dense_gp, reverse_dense
+from .cl2 import idempotent_p
+from .dense import DenseMultivector, _dense_bits, dense_gp, reverse_dense
 from .errors import DegenerateStateError, DimensionMismatchError, NotInIdealError
 
-# single-qubit dense factors of the two basis states: |0> = P and |1> = e2 P
+# single-qubit dense factor of the vacuum, P = (1 + e1)/2
 _FACTOR0 = idempotent_p().c
-_FACTOR1 = gp(E2, idempotent_p()).c
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -65,38 +67,29 @@ def vacuum(n: int) -> DenseMultivector:
 
 
 def right_mul_j(s: DenseMultivector) -> DenseMultivector:
-    """Right multiplication by the qubit-0 bivector (the complex unit)."""
-    dim = 4**s.n
-    idx = np.arange(dim, dtype=np.int64)
-    # per term: blade * e12 at qubit 0 flips sign iff the term carries e2 there
-    sign = 1 - 2 * ((idx >> 1) & 1)
-    out = np.empty(dim)
-    out[idx ^ 3] = s.c * sign
-    return DenseMultivector(s.n, out)
+    """Right multiplication by the complex unit, the qubit-0 bivector e12 (index 3): a product."""
+    return dense_gp(s, DenseMultivector.basis_blade(s.n, 3))
 
 
 @lru_cache(maxsize=None)
 def _basis(n: int):
     """Columns: dense coefficients of B_b for all b, then of B_b * J.
 
-    The columns are pairwise orthogonal (their per-qubit support classes
-    differ, or the overlapping factors (e2 - e12)/2 and (e2 + e12)/2 are
-    orthogonal) with squared norm 2**-n, so the dual basis is the scaled
-    transpose and expansion coefficients come out exact for exact inputs.
+    Each is the product it is defined as: B_b is `theta` of the e2 word of b
+    and B_b * J is its `right_mul_j`.  The columns are pairwise orthogonal (their per-qubit support classes differ,
+    or the overlapping factors (e2 - e12)/2 and (e2 + e12)/2 are orthogonal)
+    with squared norm 2**-n, so the dual basis is the scaled transpose and
+    expansion coefficients come out exact for exact inputs.
 
     Returns (columns matrix, dual matrix).
     """
-    dim = 4**n
+    _dense.check_cap(n, "ideal basis")
     half = 2**n
-    cols = np.empty((dim, 2 * half))
+    cols = np.empty((4**n, 2 * half))
     for b in range(half):
-        c = np.array([1.0])
-        for j in reversed(range(n)):  # qubit 0 ends up at the low index bits
-            bit = (b >> (n - 1 - j)) & 1
-            c = np.kron(c, _FACTOR1 if bit else _FACTOR0)
-        cols[:, b] = c
-    for b in range(half):
-        cols[:, half + b] = right_mul_j(DenseMultivector(n, cols[:, b])).c
+        state = theta(DenseMultivector.basis_blade(n, _dense_bits(n, b, 2))).psi
+        cols[:, b] = state.c
+        cols[:, half + b] = right_mul_j(state).c
     dual = cols.T * float(2**n)
     cols.flags.writeable = False
     dual.flags.writeable = False

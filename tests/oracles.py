@@ -29,6 +29,12 @@ left `src/` for this file.
 `element_from_coordinates` is the 4**n element of the ideal whose coordinates
 along B_b and B_b * J are a given complex vector, the carrier the
 dense-clifford backend stepped before it kept only the coordinates.
+`reference_gp` is `dense_gp` as it was before its one gather loop: two
+mirrored branches, each scattering the sparser operand's terms.
+`kron_basis_columns` is `ideal._basis` as it was before it took products:
+B_b as a kron of hand-written per-qubit factors (`_FACTOR1` = e2 P), and
+B_b J by `reference_right_mul_j`, right multiplication by J's own index and
+sign rule.  With them the basis is not checked against `theta` alone.
 `json_ready` turns a report's arrays into the JSON values its text holds.
 `per_shot_dense` and `born_stack_walk` are the dense backends' shot loop and
 the Born enumeration as they were before both became one walk over outcome
@@ -507,6 +513,61 @@ def element_from_coordinates(n: int, v):
     cols, _ = _basis(n)
     v = np.asarray(v, dtype=complex)
     return IdealState(n, DenseMultivector(n, cols @ np.concatenate((v.real, v.imag))))
+
+
+def reference_gp(a, b):
+    """`dense_gp` as it was before its one gather loop: two mirrored branches, each scatter-adding.
+
+    The sparser operand's nonzero terms are scattered over the other operand,
+    the sign mask built from the left term's e2 bits or the right term's e1
+    bits.  Returns the coefficient array.
+    """
+    from bladesim.dense import _e1_bits
+
+    idx = np.arange(4**a.n, dtype=np.int64)
+    e1bits = _e1_bits(a.n)
+    out = np.zeros(4**a.n)
+    if np.count_nonzero(a.c) <= np.count_nonzero(b.c):
+        for i in np.flatnonzero(a.c):
+            im = (int(i) >> 1) & e1bits
+            parity = np.bitwise_count(idx & im).astype(np.int64) & 1
+            out[int(i) ^ idx] += a.c[i] * b.c * (1 - 2 * parity)
+    else:
+        for j in np.flatnonzero(b.c):
+            jm = (int(j) & e1bits) << 1
+            parity = np.bitwise_count(idx & jm).astype(np.int64) & 1
+            out[idx ^ int(j)] += a.c * b.c[j] * (1 - 2 * parity)
+    return out
+
+
+def reference_right_mul_j(c: np.ndarray) -> np.ndarray:
+    """Right multiplication by e12 at qubit 0 by its own rule: index ^ 3, sign - where qubit 0 carries e2."""
+    idx = np.arange(c.size, dtype=np.int64)
+    out = np.empty(c.size)
+    out[idx ^ 3] = c * (1 - 2 * ((idx >> 1) & 1))
+    return out
+
+
+# single-qubit dense factors of the two basis states: |0> = P = (1 + e1)/2 and |1> = e2 P = (e2 - e12)/2
+_FACTOR0 = np.array([0.5, 0.5, 0.0, 0.0])
+_FACTOR1 = np.array([0.0, 0.0, 0.5, -0.5])
+
+
+def kron_basis_columns(n: int) -> np.ndarray:
+    """The ideal basis B_b, then B_b J, as `ideal._basis` built it before it took products.
+
+    B_b is the kron of per-qubit factors, e2 P where b has qubit q's bit (at
+    n-1-q) set and P elsewhere; B_b J comes from `reference_right_mul_j`.
+    """
+    half = 2**n
+    cols = np.empty((4**n, 2 * half))
+    for b in range(half):
+        c = np.array([1.0])
+        for q in reversed(range(n)):  # qubit 0 ends up at the low index bits
+            c = np.kron(c, _FACTOR1 if (b >> (n - 1 - q)) & 1 else _FACTOR0)
+        cols[:, b] = c
+        cols[:, half + b] = reference_right_mul_j(c)
+    return cols
 
 
 # the reference images of X, Z, Y under conjugation by each single-qubit gate,

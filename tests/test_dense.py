@@ -14,7 +14,7 @@ from bladesim import (
     tensor,
     vacuum,
 )
-from oracles import dense_matrix, random_blade_string, random_dense
+from oracles import dense_matrix, random_blade_string, random_dense, reference_gp
 
 
 def test_dense_gp_matches_matrix_oracle():
@@ -26,6 +26,29 @@ def test_dense_gp_matches_matrix_oracle():
             lhs = dense_matrix(dense_gp(a, b))
             rhs = dense_matrix(a) @ dense_matrix(b)
             assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def _with_nonzeros(n: int, k: int, rng) -> DenseMultivector:
+    c = np.zeros(4**n)
+    c[rng.choice(4**n, k, replace=False)] = rng.uniform(0.5, 1.0, k) * rng.choice((-1.0, 1.0), k)
+    return DenseMultivector(n, c)
+
+
+def test_dense_gp_equals_two_branch_reference_exactly():
+    # the one gather loop against the mirrored scatter branches it replaced:
+    # either operand sparser, both orders, and equal nonzero counts (the tie goes left)
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4, 5):
+        dim = 4**n
+        for density_a, density_b in ((0.02, 1.0), (0.1, 0.5), (0.5, 0.5), (1.0, 1.0), (0.3, 0.05)):
+            for _ in range(6 if n < 5 else 1):
+                a, b = random_dense(n, rng, density_a), random_dense(n, rng, density_b)
+                for x, y in ((a, b), (b, a)):
+                    assert np.array_equal(dense_gp(x, y).c, reference_gp(x, y)), (n, density_a, density_b)
+        for k in (1, 3, dim // 2):
+            a, b = _with_nonzeros(n, k, rng), _with_nonzeros(n, k, rng)
+            for x, y in ((a, b), (b, a)):
+                assert np.array_equal(dense_gp(x, y).c, reference_gp(x, y)), (n, k)
 
 
 def test_dense_gp_reproduces_string_mul_exactly():

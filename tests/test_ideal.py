@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bladesim import (
+    CapacityError,
     DegenerateStateError,
     DenseMultivector,
     IdealState,
@@ -20,8 +21,17 @@ from bladesim import (
     to_statevector,
     vacuum,
 )
-from bladesim.ideal import right_mul_j
-from oracles import SX, SY, SZ, pauli_matrix_oracle, random_blade_string, random_dense
+from bladesim.ideal import _basis, right_mul_j
+from oracles import (
+    SX,
+    SY,
+    SZ,
+    kron_basis_columns,
+    pauli_matrix_oracle,
+    random_blade_string,
+    random_dense,
+    reference_right_mul_j,
+)
 
 
 def test_vacuum_values():
@@ -43,6 +53,35 @@ def test_theta_prepares_basis_states():
     # |10> at n=2: e2 on qubit 0, which is the most significant position
     amps = to_statevector(theta(local_blade(2, 0, 2)))
     assert np.allclose(amps, [0, 0, 1, 0], atol=1e-12)
+
+
+def test_basis_columns_equal_kron_reference():
+    # B_b as theta of the e2 word of b and B_b J as a product, against the
+    # hand-made per-qubit factors; this keeps theta's basis-state check above
+    # from reading theta's own output back
+    for n in (1, 2, 3, 4, 5):
+        cols, dual = _basis(n)
+        assert np.array_equal(cols, kron_basis_columns(n)), n
+        assert np.array_equal(dual, cols.T * float(2**n))
+
+
+def test_right_mul_j_equals_index_and_sign_rule():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 4, 5):
+        # one nonzero term ties with e12's one, so the product loops over s
+        one_term = DenseMultivector.basis_blade(n, int(rng.integers(4**n)), -0.5)
+        for s in (one_term, *(random_dense(n, rng, density) for density in (0.05, 0.5, 1.0))):
+            assert np.array_equal(right_mul_j(s).c, reference_right_mul_j(s.c)), n
+
+
+def test_ideal_basis_and_complex_unit_refuse_above_the_oracle_cap():
+    psi = DenseMultivector.zero(6)
+    with pytest.raises(CapacityError, match="ideal basis"):
+        to_statevector(IdealState(6, psi))
+    with pytest.raises(CapacityError, match="ideal basis"):
+        project_v(psi)
+    with pytest.raises(CapacityError):
+        right_mul_j(psi)
 
 
 def test_left_action_commutes_with_preparation():
