@@ -10,10 +10,13 @@ Backends:
   * "statevector":    plain Hilbert-space simulation; capped at a desk scale.
 
 Every shot draws from its own (seed, shot) stream, the raw PCG64 outputs of
-default_rng([seed, shot]), bit for bit.  `_shot_words` computes them for every
-shot in one array pass, with no numpy.random object: numpy's SeedSequence hash
-on uint32 arrays, then PCG64's LCG jumped ahead to each output.  A stabilizer
-draw is the top bit of a 32-bit half word, a dense `random()` its top 53 bits.
+default_rng([seed, shot]), bit for bit.  `_shot_words` computes them with no
+numpy.random object.  Above `_PER_SHOT_MAX` shots it takes one array pass for
+every shot: numpy's SeedSequence hash on uint32 arrays, then PCG64's LCG jumped
+ahead to each output.  A few shots are cheaper one at a time on Python ints
+(`_per_shot_words`), the same hash steps and LCG stepped once per output.  A
+stabilizer draw is the top bit of a 32-bit half word, a dense `random()` its
+top 53 bits.
 
 The dense backends and `born_distribution` share one depth-first walk over
 measurement outcomes, `_walk`, given a start state, a gate `step` and a
@@ -37,6 +40,7 @@ import math
 import operator
 import time
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 
@@ -61,34 +65,42 @@ BRANCH_EPS = 1e-12  # Born branches at or below this probability are dropped
 _POOL = 4
 _MULT_A = 0x931E8875
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier
+_LCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# runs of at most this many shots take the per-shot path (README, "Performance notes")
+_PER_SHOT_MAX = 3
 
 
-def _hash_steps(h: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Xor words and multipliers of `count` hashmix calls from constant h, as uint32 columns."""
+def _hash_steps(h: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor word, multiplier) pairs of `count` hashmix calls from constant h."""
     consts = [h]
     for _ in range(count):
         consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    c = np.array(consts, dtype=np.uint32)[:, None]
-    return c[:-1], c[1:]
+    return list(zip(consts, consts[1:]))
 
 
-def _spread(xor: np.ndarray, mul: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+def _columns(steps: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Hash steps as an xor and a multiplier uint32 column, one row per step."""
+    return tuple(np.array(steps, dtype=np.uint32).T[..., None])
+
+
+def _spread(s: int) -> tuple[np.ndarray, np.ndarray]:
     """The steps that mix pool word s into each other word, one row per pool word.
 
     numpy takes steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2 for the other words
     in order; row s gets step 0, and its result is thrown away.
     """
-    rows = [4 + 3 * s + d - (d > s) if d != s else 0 for d in range(_POOL)]
-    return xor[rows], mul[rows]
+    return _columns([_MIX_STEPS[4 + 3 * s + d - (d > s) if d != s else 0] for d in range(_POOL)])
 
 
 # the entropy hash's first 16 steps fill the pool and mix each word into the
 # other three; the output hash's 8 steps give PCG64's four 64-bit seed words,
 # step 4j + k reading pool word k
 _MIX_STEPS = _hash_steps(0x43B0D7E5, _MULT_A, _POOL * _POOL)
-_FILL = (_MIX_STEPS[0][:_POOL], _MIX_STEPS[1][:_POOL])
-_SPREADS = [_spread(*_MIX_STEPS, s) for s in range(_POOL)]
-_OUT = tuple(c.reshape(2, _POOL, 1) for c in _hash_steps(0x8B51F9DD, 0x58F38DED, 2 * _POOL))
+_OUT_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_FILL = _columns(_MIX_STEPS[:_POOL])
+_SPREADS = [_spread(s) for s in range(_POOL)]
+_OUT = tuple(c.reshape(2, _POOL, 1) for c in _columns(_OUT_STEPS))
 
 
 def _hashmix(value, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -130,7 +142,7 @@ def _pcg64_words(seed: int, shots: np.ndarray) -> np.ndarray:
         pool = mixed
     extra = entropy[_POOL:]
     if extra:
-        xor, mul = _hash_steps(int(_MIX_STEPS[1][-1, 0]), _MULT_A, _POOL * len(extra))
+        xor, mul = _columns(_hash_steps(_MIX_STEPS[-1][1], _MULT_A, _POOL * len(extra)))
         for i, word in enumerate(extra):
             at = slice(_POOL * i, _POOL * (i + 1))
             pool = _mix(pool, _hashmix(word, xor[at], mul[at]))
@@ -163,15 +175,18 @@ def _shot_words(seed: int, shots: int, count: int) -> np.ndarray:
     mult^(j-1)) * inc, one array expression on uint64 limbs for every (shot,
     output) cell, MAX_SHOTS cells at a time.  Nothing to draw hashes nothing.
     The cells are computed as (count, shots) arrays, so each numpy loop runs
-    along the shots, and returned transposed.
+    along the shots, and returned transposed.  This array pass has a fixed
+    cost of about 0.1 ms, more than a few shots' words cost on Python ints,
+    so runs of at most `_PER_SHOT_MAX` shots take `_per_shot_words` instead.
     """
     out = np.empty((count, shots), dtype=np.uint64)
     if not count:
         return out.T
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    a, c, jumps = mult, 1, []  # one step: a = mult, c = 1
+    if shots <= _PER_SHOT_MAX:
+        return _per_shot_words(seed, shots, count)
+    a, c, jumps = _LCG_MULT, 1, []  # one step: a = mult, c = 1
     for _ in range(count):
-        a, c = a * mult % 2**128, (c * mult + 1) % 2**128
+        a, c = a * _LCG_MULT % 2**128, (c * _LCG_MULT + 1) % 2**128
         jumps.append([a >> 64, a % 2**64, c >> 64, c % 2**64])
     a_hi, a_lo, c_hi, c_lo = np.array(jumps, dtype=np.uint64).T[..., None]
     chunk = max(1, MAX_SHOTS // count)
@@ -184,6 +199,46 @@ def _shot_words(seed: int, shots: int, count: int) -> np.ndarray:
         value, rot = high ^ low, high >> 58
         out[:, first : first + chunk] = value >> rot | value << (64 - rot & 63)
     return out.T
+
+
+def _per_shot_words(seed: int, shots: int, count: int) -> np.ndarray:
+    """`_shot_words` one shot at a time on Python ints, for a few shots.
+
+    A transliteration of numpy's SeedSequence (`mix_entropy`, then
+    `generate_state`) on the array pass's own hash steps, then of PCG64's two
+    seeding steps and its XSL-RR output, one LCG step per output.
+    """
+    mix_l, mix_r = int(_MIX_L), int(_MIX_R)
+
+    def hashmix(value: int, step: tuple[int, int]) -> int:
+        value = (value ^ step[0]) * step[1] & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = mix_l * x - mix_r * y & 0xFFFFFFFF
+        return r ^ r >> 16
+
+    seed_words, rows = _seed_words(seed), []
+    # entropy words past the pool take 4 more steps each
+    steps = _MIX_STEPS + _hash_steps(_MIX_STEPS[-1][1], _MULT_A, _POOL * (len(seed_words) + 1 - _POOL))
+    for shot in range(shots):
+        entropy, step = [*seed_words, shot], iter(steps)
+        pool = [hashmix(word, next(step)) for word in (entropy + [0] * _POOL)[:_POOL]]
+        for s, d in permutations(range(_POOL), 2):  # word s into each other word d
+            pool[d] = mix(pool[d], hashmix(pool[s], next(step)))
+        for word in entropy[_POOL:]:
+            pool = [mix(p, hashmix(word, next(step))) for p in pool]
+        out = [hashmix(pool[i % _POOL], s) for i, s in enumerate(_OUT_STEPS)]
+        w0, w1, w2, w3 = (out[i] | out[i + 1] << 32 for i in range(0, 2 * _POOL, 2))
+        inc = (w2 << 65 | w3 << 1 | 1) & (1 << 128) - 1
+        state = ((w0 << 64 | w1) + inc) * _LCG_MULT + inc
+        row = []
+        for _ in range(count):
+            state = (state * _LCG_MULT + inc) & (1 << 128) - 1
+            value, rot = (state >> 64 ^ state) & 0xFFFFFFFFFFFFFFFF, state >> 122
+            row.append((value >> rot | value << (64 - rot)) & 0xFFFFFFFFFFFFFFFF)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint64)
 
 
 def _check_args(shots: int, seed: int) -> tuple[int, int]:

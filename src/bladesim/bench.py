@@ -1,4 +1,4 @@
-"""Timing kernels for the word-parallel string product and tableau gates."""
+"""Timing kernels for the word-parallel string product, tableau gates and the shots' streams."""
 
 from __future__ import annotations
 
@@ -6,13 +6,19 @@ import time
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, ONE_QUBIT_GATES, TWO_QUBIT_GATES
+from .backends import _shot_words
+from .circuit import MAX_QUBITS, MAX_SHOTS, ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from .strings import BladeString, PauliString, pauli_mul, string_mul
 from .tableau import Tableau
 
-KERNELS = ("pauli-mul", "tableau-gate", "string-mul")
+KERNELS = ("pauli-mul", "tableau-gate", "string-mul", "shot-words")
 DEFAULT_KERNELS = ("pauli-mul", "tableau-gate")  # what `bladesim bench --kernel both` times
 CALLS_PER_REP = 4  # products or gates timed back to back in one rep
+# kernel -> (largest size it times, why larger sizes are skipped)
+CAPS = {
+    "tableau-gate": (MAX_QUBITS, "a tableau holds 4n^2 bits"),
+    "shot-words": (MAX_SHOTS, "a run takes at most 2^20 shots"),
+}
 
 
 def _random_masks(n: int, rng) -> tuple[int, int]:
@@ -69,6 +75,11 @@ def time_tableau_gate(n: int, reps: int = 20, seed: int = 0, kind: str = "h") ->
     return _time_calls(getattr(Tableau(n), kind), arglists, reps)
 
 
+def time_shot_words(shots: int, reps: int = 20, seed: int = 0) -> list[float]:
+    """Per-call wall times in ns for the first output of `shots` shots' streams (`backends._shot_words`)."""
+    return _time_calls(_shot_words, [(seed, shots, 1)] * CALLS_PER_REP, reps)
+
+
 def bench_rows(sizes, reps: int = 20, kernels=DEFAULT_KERNELS, seed: int = 0) -> list[dict]:
     if reps < 1:
         raise ValueError("need at least one repetition")
@@ -77,9 +88,14 @@ def bench_rows(sizes, reps: int = 20, kernels=DEFAULT_KERNELS, seed: int = 0) ->
             raise ValueError(f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}")
     rows = []
     for kernel in kernels:
-        timer = {"pauli-mul": time_pauli_mul, "tableau-gate": time_tableau_gate, "string-mul": time_string_mul}[kernel]
+        timer = {
+            "pauli-mul": time_pauli_mul,
+            "tableau-gate": time_tableau_gate,
+            "string-mul": time_string_mul,
+            "shot-words": time_shot_words,
+        }[kernel]
         for n in sizes:
-            if kernel == "tableau-gate" and n > MAX_QUBITS:
+            if kernel in CAPS and n > CAPS[kernel][0]:
                 continue
             samples = timer(n, reps=reps, seed=seed)
             rows.append(

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import backends, bench
-from .circuit import MAX_QUBITS, MAX_SHOTS, ParseError, parse
+from .circuit import MAX_SHOTS, ParseError, parse
 from .errors import BladesimError
 
 
@@ -206,12 +206,9 @@ def _cmd_bench(args) -> int:
     kernels = bench.DEFAULT_KERNELS if args.kernel == "both" else (args.kernel,)
     sizes = parse_sizes(args.sizes)
     rows = bench.bench_rows(sizes, reps=args.reps, kernels=kernels, seed=args.seed)
-    if len(rows) < len(sizes) * len(kernels):
-        print(
-            f"note: tableau-gate sizes above {MAX_QUBITS} skipped "
-            "(a tableau holds 4n^2 bits)",
-            file=sys.stderr,
-        )
+    for kernel, (cap, why) in bench.CAPS.items():
+        if kernel in kernels and max(sizes) > cap:
+            print(f"note: {kernel} sizes above {cap} skipped ({why})", file=sys.stderr)
     _write_pieces(args.csv, [bench.format_csv(rows)])
     return 0
 

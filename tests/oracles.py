@@ -5,7 +5,8 @@ checks do not share code with the kernels they verify.  `per_shot_stabilizer`
 is the stabilizer backend's concrete shot loop, the slow path that the
 one-pass symbolic `run` must reproduce bit for bit, and `_shot_rng` is a
 shot's stream built the slow way, by numpy's own `default_rng([seed, shot])`,
-which the array pass `backends._shot_words` must equal.  `RowTableau` is the
+which both paths of `backends._shot_words` must equal: the array pass over
+every shot and `_per_shot_words`, one shot at a time.  `RowTableau` is the
 row-major stabilizer engine, the slow path that the column `Tableau` must
 match step by step.  Its one-qubit rules come from `IMAGES`, a hand-written
 table of letter images, which the images the tableau derives from the gates'

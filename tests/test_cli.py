@@ -323,9 +323,28 @@ def test_bench_string_mul_kernel(capsys):
     assert captured.err == ""
 
 
+def test_bench_shot_words_kernel(capsys):
+    # shot counts above MAX_SHOTS are skipped with a note, as tableau-gate skips widths above MAX_QUBITS
+    code = main(["bench", "--sizes", "1,2,9,2^21", "--reps", "2", "--kernel", "shot-words"])
+    assert code == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == "kernel,n,median_ns,p90_ns"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["shot-words", "1"], ["shot-words", "2"], ["shot-words", "9"]]
+    assert all(float(v) > 0 for line in lines[1:] for v in line.split(",")[2:])
+    assert captured.err == "note: shot-words sizes above 1048576 skipped (a run takes at most 2^20 shots)\n"
+
+
+def test_bench_tableau_gate_skips_widths_past_the_ceiling(capsys):
+    assert main(["bench", "--sizes", "8,2^15", "--reps", "1", "--kernel", "tableau-gate"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[:2] for line in captured.out.strip().split("\n")[1:]] == [["tableau-gate", "8"]]
+    assert captured.err == "note: tableau-gate sizes above 16384 skipped (a tableau holds 4n^2 bits)\n"
+
+
 def test_bench_rows_refuses_unknown_kernels():
     # an unknown name used to time H gates under that name
-    with pytest.raises(ValueError, match="pauli-mul, tableau-gate, string-mul"):
+    with pytest.raises(ValueError, match="pauli-mul, tableau-gate, string-mul, shot-words"):
         bench_rows([8], reps=1, kernels=("blade-mul",))
     with pytest.raises(ValueError, match="'nope'"):
         bench_rows([8], reps=1, kernels=("pauli-mul", "nope"))

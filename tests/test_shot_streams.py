@@ -1,11 +1,15 @@
-"""Each shot's stream, computed for all shots in one array pass, against numpy's own.
+"""Each shot's stream, on both of `_shot_words`' paths, against numpy's own.
 
 `backends._shot_words(seed, shots, count)` must give every shot the raw
-PCG64 outputs of `default_rng([seed, shot])`.  From them the stabilizer
-backend reads its `integers(0, 2)` draws (the top bit of each 32-bit half,
-low half first) and the dense backends their `random()` floats (the top 53
-bits); both must equal numpy's scalar draws.  These tests catch numpy
-changing its seeding, its PCG64 or its `integers` algorithm.
+PCG64 outputs of `default_rng([seed, shot])`.  Runs of more than
+`_PER_SHOT_MAX` shots take the array pass, which hashes every shot at once
+(`_pcg64_words`) and jumps the LCG ahead to each output; fewer take
+`_per_shot_words`, the same hash and LCG on Python ints, one shot at a time.
+From those words the stabilizer backend reads its `integers(0, 2)` draws (the
+top bit of each 32-bit half, low half first) and the dense backends their
+`random()` floats (the top 53 bits); both must equal numpy's scalar draws.
+These tests catch numpy changing its seeding, its PCG64 or its `integers`
+algorithm, and either path drifting from the other.
 """
 
 import os
@@ -18,13 +22,15 @@ import pytest
 
 import bladesim.backends
 from bladesim import parse, run
-from bladesim.backends import _pcg64_words, _shot_words
+from bladesim.backends import _PER_SHOT_MAX, BACKENDS, _pcg64_words, _shot_words
+from bladesim.circuit import MAX_SHOTS
 from oracles import _shot_rng
 
 SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
 SHOTS = 301
 MAX_DRAWS = 130
 ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "circuits").glob("*.qc"))
 
 
 def test_streams_equal_default_rng_for_every_shot():
@@ -77,12 +83,56 @@ def test_streams_cross_a_chunk_boundary():
             assert np.array_equal(words[shot], _shot_rng(seed, shot).bit_generator.random_raw(count)), (seed, shot)
 
 
+@pytest.mark.parametrize("limit", [0, MAX_SHOTS], ids=["array-pass", "per-shot"])
+def test_both_paths_equal_default_rng_across_the_crossover(monkeypatch, limit):
+    # every seed's word layout, the 2^130 seed's extra entropy words included
+    monkeypatch.setattr(bladesim.backends, "_PER_SHOT_MAX", limit)
+    for seed in SEEDS:
+        for shots in range(1, _PER_SHOT_MAX + 3):
+            for count in (1, 2, 65):
+                words = _shot_words(seed, shots, count)
+                assert words.shape == (shots, count) and words.dtype == np.uint64
+                for shot, row in enumerate(words):
+                    want = _shot_rng(seed, shot).bit_generator.random_raw(count)
+                    assert np.array_equal(row, want), (seed, shots, count, shot)
+
+
+@pytest.mark.parametrize(
+    "shots, count, hashed",
+    [(2, 1, False), (24, 22, True), (2000, 1, True), (400, 3, True), (500, 2, True)],
+    ids=["wide-gates", "wide-measure", "many-shots", "dense", "validate"],
+)
+def test_benchmark_shapes_take_their_faster_path(monkeypatch, shots, count, hashed):
+    hashed_shots = []
+
+    def counted(seed, indices):
+        hashed_shots.extend(indices.tolist())
+        return _pcg64_words(seed, indices)
+
+    monkeypatch.setattr(bladesim.backends, "_pcg64_words", counted)
+    assert _shot_words(3, shots, count).shape == (shots, count)
+    assert hashed_shots == (list(range(shots)) if hashed else [])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_few_shot_runs_are_prefixes_of_a_64_shot_run(backend, path):
+    # shot s's record depends on (seed, s) alone, whichever path drew its stream
+    circuit = parse(path.read_text(encoding="utf-8"))
+    for seed in range(4):
+        want = run(circuit, backend, shots=64, seed=seed)["records"]
+        for k in range(1, _PER_SHOT_MAX + 2):
+            assert np.array_equal(run(circuit, backend, shots=k, seed=seed)["records"], want[:k]), (seed, k)
+
+
 def test_nothing_to_draw_hashes_nothing(monkeypatch):
-    def no_hash(seed, shots):
+    def no_hash(*args):
         raise AssertionError("seed words hashed with nothing to draw")
 
     monkeypatch.setattr(bladesim.backends, "_pcg64_words", no_hash)
+    monkeypatch.setattr(bladesim.backends, "_per_shot_words", no_hash)
     assert _shot_words(5, 3, 0).shape == (3, 0)
+    assert _shot_words(5, 1000, 0).shape == (1000, 0)
     certain = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
     assert run(certain, "stabilizer", shots=4, seed=5)["records"].tolist() == [[1, 1]] * 4
     unmeasured = parse("qubits 2\nh 0\ncnot 0 1\n")
