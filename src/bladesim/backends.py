@@ -22,16 +22,16 @@ The dense backends and `born_distribution` share one depth-first walk over
 measurement outcomes, `_walk`, given a start state, a gate `step` and a
 `project`.  Acting with g on a state prepared by h is preparing with g h, so
 each distinct (op, outcome prefix) state is evolved once.  The stabilizer
-backend walks the circuit once for all shots (`_stabilizer_shots`): every
-random outcome stays a variable, each recorded outcome is a parity of the
-shot's draws, and a shot only draws its bits.  `validate` checks a
-stabilizer `run`: it walks the circuit once with all three in lockstep, and
-at each measurement the tableau and both dense backends take the outcome
-that run recorded for shot 0.  It steps and measures the dense states only
-through the engines `_dense_backend` gives `_walk`, so it checks the wiring
-that `run` executes.  Up to the dense-oracle cap it also steps the 4**n
-element of the ideal through the operator pairs, the oracle that the
-coordinates must match.
+backend walks the circuit once for all shots (`_pass`): every random outcome
+stays a variable and each recorded outcome is a parity of the shot's draws;
+`_sample` then only draws the bits and evaluates the parities.  `validate`
+checks the records of that pass and sample: it walks the circuit once with
+all three in lockstep, and at each measurement the tableau and both dense
+backends take the outcome recorded for shot 0.  It steps and measures the
+dense states only through the engines `_dense_backend` gives `_walk`, so it
+checks the wiring that `run` executes.  Up to the dense-oracle cap it also
+steps the 4**n element of the ideal through the operator pairs, the oracle
+that the coordinates must match.
 """
 
 from __future__ import annotations
@@ -417,15 +417,13 @@ def _element_backend(circuit: Circuit) -> tuple:
     return IdealState.zero_state(n), step, project
 
 
-def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[np.ndarray, list[str]]:
-    """Records, a (shots, measurements) array, and final stabilizer lines from one tableau pass.
+def _pass(circuit: Circuit) -> tuple[Tableau, list[tuple[int, int]], int]:
+    """The symbolic tableau pass: the final tableau, each measurement's (constant, mask) outcome, and `draws`.
 
     Whether a measurement is random depends only on the tableau's x/z bits,
     so every shot draws at the same measurements.  The pass leaves random
-    outcome r as variable r and records each outcome as a (constant, mask)
-    pair; a shot's outcome is the constant XOR the parity of its drawn bits
-    under the mask, evaluated for all shots at once, one outcome at a time.
-    The last shot's bits give the final signs.
+    outcome r as variable r, one of `draws`; a shot's outcome is the
+    constant XOR the parity of its drawn bits under the mask.
     """
     t = Tableau(circuit.n)
     outcomes = []
@@ -437,6 +435,15 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[np.ndarr
             draws += not deterministic
         else:
             t.apply_gate(op)
+    return t, outcomes, draws
+
+
+def _sample(outcomes: list[tuple[int, int]], draws: int, shots: int, seed: int) -> tuple[np.ndarray, int]:
+    """Records, a (shots, len(outcomes)) 0/1 uint8 array, and the last shot's draws as one int, bit r for draw r.
+
+    Each shot draws its bits from its (seed, shot) stream; every outcome is
+    evaluated for all shots at once, one outcome at a time.
+    """
     # draw r is integers(0, 2) on the stream's r-th 32-bit word, the low half
     # of each output first: the word's top bit; bits[r, s] is shot s's draw r
     words = _shot_words(seed, shots, (draws + 1) // 2).T[:, None]
@@ -450,8 +457,7 @@ def _stabilizer_shots(circuit: Circuit, shots: int, seed: int) -> tuple[np.ndarr
         for r in _indices(mask):
             row ^= drawn[r]
         rows.append(row)
-    last = _pack(bits[:, -1:].T)[0]  # bit r is the last shot's draw r
-    return _unpack(rows, 0, shots), t.assign(last).stabilizer_lines()
+    return _unpack(rows, 0, shots), _pack(bits[:, -1:].T)[0]
 
 
 def _norm2(v: np.ndarray) -> float:
@@ -511,8 +517,9 @@ def run(circuit: Circuit, backend: str = "stabilizer", shots: int = 1, seed: int
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     t0 = time.perf_counter()
     if backend == "stabilizer":
-        records, lines = _stabilizer_shots(circuit, shots, seed)
-        final = {"stabilizers": lines}
+        t, outcomes, draws = _pass(circuit)
+        records, last = _sample(outcomes, draws, shots, seed)
+        final = {"stabilizers": t.assign(last).stabilizer_lines()}
     else:
         # shot s takes outcome 1 at measurement m when u[s, m], its m-th random(), is below p1
         u = (_shot_words(seed, shots, circuit.measure_count) >> 11) * 2.0**-53
@@ -560,10 +567,10 @@ def born_distribution(circuit: Circuit) -> dict:
 
 
 def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
-    """Cross-check the three backends on one circuit and on one stabilizer `run` of it.
+    """Cross-check the three backends on one circuit and on its stabilizer records, `run`'s pass and sample.
 
     Exact checks, on one lockstep walk that takes each outcome from the
-    run's shot 0: after every op the tableau invariants hold and the
+    records' shot 0: after every op the tableau invariants hold and the
     algebra-resident state's coordinates equal the state vector (and, up to
     ORACLE_CAP qubits, the 4**n element stepped by the operator pairs equals
     the coordinates); before each measurement and after the last op every
@@ -573,7 +580,7 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     failed; a NaN deviation fails.  The walk stops at an outcome the state
     vector gives probability at most BRANCH_EPS, and at a dense collapse
     onto a zero-norm part, which fails the dense check.  Statistical check:
-    the run's outcome frequencies against the exact Born distribution,
+    the records' outcome frequencies against the exact Born distribution,
     within 0.02 at 10^4 shots, widening as four binomial sigmas below that;
     a record of Born probability 0 fails it, and the detail names the
     smallest such record.  One report entry per check.
@@ -583,7 +590,7 @@ def validate(circuit: Circuit, shots: int = 10_000, seed: int = 0) -> dict:
     stat_tol = max(STAT_TOL, 4.0 * math.sqrt(0.25 / shots))
     n = circuit.n
     ops = circuit.ops
-    records = run(circuit, "stabilizer", shots=shots, seed=seed)["records"] if circuit.measure_count else np.empty((1, 0))
+    records = _sample(*_pass(circuit)[1:], shots, seed)[0]
     shot0 = iter(records[0].tolist())  # shot 0's outcomes, as Python ints
     t = Tableau(n)
     psi, sv_step, sv_project = _dense_backend(circuit, "statevector")

@@ -369,17 +369,36 @@ def test_validate_walk_checks_the_records_run_returned(monkeypatch):
     # the walk at that measurement, op 7 being measurement 5
     circuit = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\n" + "measure 1\n" * 17)
     assert circuit.measure_count == 18
-    original = bladesim.backends._stabilizer_shots
+    original = bladesim.backends._sample
 
-    def corrupted(circuit, shots, seed):
-        records, lines = original(circuit, shots, seed)
+    def corrupted(outcomes, draws, shots, seed):
+        records, last = original(outcomes, draws, shots, seed)
         records[0][5] ^= 1
-        return records, lines
+        return records, last
 
-    monkeypatch.setattr(bladesim.backends, "_stabilizer_shots", corrupted)
+    monkeypatch.setattr(bladesim.backends, "_sample", corrupted)
     report = validate(circuit, shots=1000, seed=3)
     failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert failed["stabilizer_rows_fix_oracle_state"].startswith("op 7 (measure 1)"), report
+
+
+def test_validate_walks_the_shot_0_record_run_samples(monkeypatch):
+    # validate and run share one pass and one sampler: the record validate
+    # walks is the one run reports for shot 0 at the same seed
+    circuit = random_clifford_circuit(4, 40, seed=11, gate_kinds=ONE_QUBIT_GATES + TWO_QUBIT_GATES, measure_prob=0.3)
+    original, sampled = bladesim.backends._sample, []
+
+    def capturing(*args):
+        records, last = original(*args)
+        sampled.append(records)
+        return records, last
+
+    monkeypatch.setattr(bladesim.backends, "_sample", capturing)
+    validate(circuit, shots=500, seed=9)
+    monkeypatch.undo()
+    [records] = sampled
+    assert circuit.measure_count > 5 and len(set(map(tuple, records.tolist()))) > 1
+    assert records[0].tolist() == run(circuit, "stabilizer", shots=500, seed=9)["records"][0].tolist()
 
 
 def test_validate_walk_catches_flipped_deterministic_outcome(monkeypatch):
