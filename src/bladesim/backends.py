@@ -67,6 +67,7 @@ _MULT_A = 0x931E8875
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # PCG64's 128-bit LCG multiplier
 _LCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 # runs of at most this many shots take the per-shot path (README, "Performance notes")
 _PER_SHOT_MAX = 3
 
@@ -173,7 +174,9 @@ def _shot_words(seed: int, shots: int, count: int) -> np.ndarray:
     `_pcg64_words` with two steps from inc + initstate, so output k is that
     sum jumped j = k + 2 steps (Brown 1994): mult^j * sum + (1 + ... +
     mult^(j-1)) * inc, one array expression on uint64 limbs for every (shot,
-    output) cell, MAX_SHOTS cells at a time.  Nothing to draw hashes nothing.
+    output) cell, MAX_SHOTS cells at a time.  The jumps' two factors are one
+    byte table of little-endian 128-bit words, read back as those limbs.
+    Nothing to draw hashes nothing.
     The cells are computed as (count, shots) arrays, so each numpy loop runs
     along the shots, and returned transposed.  This array pass has a fixed
     cost of about 0.1 ms, more than a few shots' words cost on Python ints,
@@ -184,11 +187,11 @@ def _shot_words(seed: int, shots: int, count: int) -> np.ndarray:
         return out.T
     if shots <= _PER_SHOT_MAX:
         return _per_shot_words(seed, shots, count)
-    a, c, jumps = _LCG_MULT, 1, []  # one step: a = mult, c = 1
+    a, c, table = _LCG_MULT, 1, bytearray()  # one step: a = mult, c = 1
     for _ in range(count):
-        a, c = a * _LCG_MULT % 2**128, (c * _LCG_MULT + 1) % 2**128
-        jumps.append([a >> 64, a % 2**64, c >> 64, c % 2**64])
-    a_hi, a_lo, c_hi, c_lo = np.array(jumps, dtype=np.uint64).T[..., None]
+        a, c = a * _LCG_MULT & _MASK128, (c * _LCG_MULT + 1) & _MASK128
+        table += a.to_bytes(16, "little") + c.to_bytes(16, "little")
+    a_lo, a_hi, c_lo, c_hi = np.frombuffer(table, dtype="<u8").reshape(count, 4).T[..., None]
     chunk = max(1, MAX_SHOTS // count)
     for first in range(0, shots, chunk):
         w0, w1, w2, w3 = _pcg64_words(seed, np.arange(first, min(first + chunk, shots))).T

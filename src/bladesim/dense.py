@@ -5,7 +5,8 @@ per-qubit blade index of each factor into two bits: qubit j occupies bits
 2j and 2j+1, with bit 2j flagging e1 and bit 2j+1 flagging e2.  The blade
 index of a product term is then the XOR of the operand indices, and the sign
 is a parity of colliding (e2 left, e1 right) bits, exactly as for packed
-strings but summed over all coefficient pairs.
+strings but summed over all coefficient pairs; each mask's signs are one
+cached table (`_parity_signs`), read at the gathered index.
 
 Products cost 16**n coefficient pairs, so everything here is capped at
 ORACLE_CAP qubits.
@@ -33,6 +34,26 @@ def check_cap(n: int, what: str = "dense oracle", cap: int = ORACLE_CAP) -> None
 def _e1_bits(n: int) -> int:
     # mask of the e1 flag bit of every qubit: bits 0, 2, 4, ...
     return sum(1 << (2 * q) for q in range(n))
+
+
+@lru_cache(maxsize=None)
+def _index(bits: int) -> np.ndarray:
+    """Read-only int64 0, 1, ..., 2**bits - 1."""
+    idx = np.arange(2**bits, dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
+
+
+@lru_cache(maxsize=256)
+def _parity_signs(bits: int, mask: int) -> np.ndarray:
+    """Read-only float64 (-1)**popcount(i & mask) for every i < 2**bits.
+
+    Products and word actions take bits <= 12, so a table is at most 32 KB and
+    the 256 cached tables 8 MB; a whole run touches a few dozen masks.
+    """
+    signs = 1.0 - 2.0 * (np.bitwise_count(_index(bits) & mask) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,22 +152,21 @@ def dense_gp(a: DenseMultivector, b: DenseMultivector) -> DenseMultivector:
     One loop over the sparser operand's nonzero terms i, each adding a
     vectorized gather of the other operand at o ^ i into out[o].  Only the
     collision mask depends on i's side (its e2 bits moved onto e1 on the
-    left, its e1 bits onto e2 on the right); the sign is read at the gathered index.
+    left, its e1 bits onto e2 on the right); the other operand is signed by
+    the mask's table before the gather, so the sign is read at the gathered index.
     """
     _same_n(a, b)
     check_cap(a.n, "dense product")
-    dim = 4**a.n
+    bits = 2 * a.n
     e1bits = _e1_bits(a.n)
-    idx = np.arange(dim, dtype=np.int64)
-    out = np.zeros(dim)
+    idx = _index(bits)
+    out = np.zeros(4**a.n)
     left = np.count_nonzero(a.c) <= np.count_nonzero(b.c)
     sparse, other = (a, b) if left else (b, a)
     for i in np.flatnonzero(sparse.c):
         i = int(i)
         mask = (i >> 1) & e1bits if left else (i & e1bits) << 1
-        gathered = idx ^ i
-        parity = np.bitwise_count(gathered & mask).astype(np.int64) & 1
-        out += sparse.c[i] * other.c.take(gathered) * (1 - 2 * parity)
+        out += sparse.c[i] * (other.c * _parity_signs(bits, mask)).take(idx ^ i)
     return DenseMultivector(a.n, out)
 
 

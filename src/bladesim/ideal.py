@@ -126,7 +126,7 @@ def to_statevector(s: IdealState) -> np.ndarray:
     """
     cols, dual = _basis(s.n)
     coef = dual @ s.psi.c
-    residual = np.linalg.norm(cols @ coef - s.psi.c, np.inf)
+    residual = np.abs(cols @ coef - s.psi.c).max()
     if residual > MEMBERSHIP_TOL:
         raise NotInIdealError(f"element is {residual:.3e} away from the state space (tol {MEMBERSHIP_TOL:g})")
     half = 2**s.n
@@ -233,17 +233,15 @@ def word_action(n: int, a, b=()) -> tuple:
     v[b ^ e2]; the b words are also multiplied by i.  Words that share an e2
     mask share one gather index and add into one complex diagonal, so the
     action is (gather, diagonal) pairs, one per distinct e2 mask in increasing
-    order, the gather None for the mask 0.  The signs of all words are one
-    array expression.
+    order, the gather None for the mask 0.  Each word's signs are the cached
+    `dense._parity_signs` table of its e1 mask.
     """
-    coefs, e1s, e2s = zip(*a, *((1j * coef, e1, e2) for coef, e1, e2 in b))
-    idx = np.arange(2**n)
-    parity = np.bitwise_count(idx & np.array(e1s)[:, None]) & 1
-    terms = np.array(coefs, dtype=complex)[:, None] * (1 - 2 * parity.astype(np.int64))
-    masks = sorted(set(e2s))
+    words = (*a, *((1j * coef, e1, e2) for coef, e1, e2 in b))
+    masks = sorted({e2 for _, _, e2 in words})
     diagonals = np.zeros((len(masks), 2**n), dtype=complex)
-    for e2, term in zip(e2s, terms):
-        diagonals[masks.index(e2)] += term
+    for coef, e1, e2 in words:
+        diagonals[masks.index(e2)] += complex(coef) * _dense._parity_signs(n, e1)
+    idx = _dense._index(n)
     return tuple((idx ^ e2 if e2 else None, d) for e2, d in zip(masks, diagonals))
 
 

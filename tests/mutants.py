@@ -47,9 +47,25 @@ MUTANTS = (
     Mutant(
         "dense-gp-sign-index",
         "src/bladesim/dense.py",
-        "np.bitwise_count(gathered & mask)",
-        "np.bitwise_count(idx & mask)",
+        "(other.c * _parity_signs(bits, mask)).take(idx ^ i)",
+        "other.c.take(idx ^ i) * _parity_signs(bits, mask)",
         ("tests/test_dense.py",),
+    ),
+    # the parity table counting only the lowest set bit of its mask
+    Mutant(
+        "parity-signs-lowest-bit",
+        "src/bladesim/dense.py",
+        "_index(bits) & mask)",
+        "_index(bits) & mask & -mask)",
+        ("tests/test_dense.py", "tests/test_ideal.py", "tests/test_coordinates.py"),
+    ),
+    # word_action signing a word by its e2 mask instead of its e1 mask
+    Mutant(
+        "word-action-sign-mask",
+        "src/bladesim/ideal.py",
+        "_parity_signs(n, e1)",
+        "_parity_signs(n, e2)",
+        ("tests/test_coordinates.py",),
     ),
     # the ideal basis B_b prepared from e1 words instead of e2 words
     Mutant(
@@ -66,6 +82,14 @@ MUTANTS = (
         "basis_blade(s.n, 3)",
         "basis_blade(s.n, 2)",
         ("tests/test_ideal.py",),
+    ),
+    # the array pass's jump table read with its 64-bit limbs swapped
+    Mutant(
+        "jump-table-limb-order",
+        "src/bladesim/backends.py",
+        "a_lo, a_hi, c_lo, c_hi = np.frombuffer",
+        "a_hi, a_lo, c_lo, c_hi = np.frombuffer",
+        ("tests/test_shot_streams.py",),
     ),
     # the per-shot XSL-RR rotation read one bit too low
     Mutant("xsl-rr-rotation", "src/bladesim/backends.py", "state >> 122", "state >> 121", ("tests/test_shot_streams.py",)),

@@ -32,6 +32,10 @@ along B_b and B_b * J are a given complex vector, the carrier the
 dense-clifford backend stepped before it kept only the coordinates.
 `reference_gp` is `dense_gp` as it was before its one gather loop: two
 mirrored branches, each scattering the sparser operand's terms.
+`reference_dense_gp` and `reference_word_action` are `dense_gp` and
+`ideal.word_action` as they were before both read their signs from the
+cached `dense._parity_signs` tables: every term's parity recomputed with
+`np.bitwise_count`; both must give the same bytes.
 `kron_basis_columns` is `ideal._basis` as it was before it took products:
 B_b as a kron of hand-written per-qubit factors (`_FACTOR1` = e2 P), and
 B_b J by `reference_right_mul_j`, right multiplication by J's own index and
@@ -539,6 +543,41 @@ def reference_gp(a, b):
             parity = np.bitwise_count(idx & jm).astype(np.int64) & 1
             out[idx ^ int(j)] += a.c * b.c[j] * (1 - 2 * parity)
     return out
+
+
+def reference_dense_gp(a, b):
+    """`dense_gp` as it was before it read cached sign tables: each term's parity rebuilt from its gathered indices.
+
+    Returns the coefficient array.
+    """
+    from bladesim.dense import _e1_bits
+
+    dim = 4**a.n
+    e1bits = _e1_bits(a.n)
+    idx = np.arange(dim, dtype=np.int64)
+    out = np.zeros(dim)
+    left = np.count_nonzero(a.c) <= np.count_nonzero(b.c)
+    sparse, other = (a, b) if left else (b, a)
+    for i in np.flatnonzero(sparse.c):
+        i = int(i)
+        mask = (i >> 1) & e1bits if left else (i & e1bits) << 1
+        gathered = idx ^ i
+        parity = np.bitwise_count(gathered & mask).astype(np.int64) & 1
+        out += sparse.c[i] * other.c.take(gathered) * (1 - 2 * parity)
+    return out
+
+
+def reference_word_action(n: int, a, b=()) -> tuple:
+    """`ideal.word_action` as it was before it read cached sign tables: every word's signs one array expression."""
+    coefs, e1s, e2s = zip(*a, *((1j * coef, e1, e2) for coef, e1, e2 in b))
+    idx = np.arange(2**n)
+    parity = np.bitwise_count(idx & np.array(e1s)[:, None]) & 1
+    terms = np.array(coefs, dtype=complex)[:, None] * (1 - 2 * parity.astype(np.int64))
+    masks = sorted(set(e2s))
+    diagonals = np.zeros((len(masks), 2**n), dtype=complex)
+    for e2, term in zip(e2s, terms):
+        diagonals[masks.index(e2)] += term
+    return tuple((idx ^ e2 if e2 else None, d) for e2, d in zip(masks, diagonals))
 
 
 def reference_right_mul_j(c: np.ndarray) -> np.ndarray:

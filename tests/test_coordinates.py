@@ -20,6 +20,7 @@ from bladesim.backends import BRANCH_EPS, _dense_backend, _element_backend
 from bladesim.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 from bladesim.gates import gate_to_operator_pair, gate_words, projector_words, word_element
 from bladesim.ideal import act, word_action
+from oracles import reference_word_action
 
 ALL_KINDS = ONE_QUBIT_GATES + TWO_QUBIT_GATES
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
@@ -51,6 +52,41 @@ def test_gate_words_act_as_their_operator_pairs():
         for q in range(n):
             got = action_matrix(word_action(n, projector_words(n, q, 1)), n)
             assert np.array_equal(got, rho_matrix(word_element(n, projector_words(n, q, 1)))), (n, q)
+
+
+def _assert_same_bytes(got, want, where):
+    assert len(got) == len(want), where
+    for (gather, diagonal), (want_gather, want_diagonal) in zip(got, want):
+        assert (gather is None) == (want_gather is None), where
+        if gather is not None:
+            assert gather.dtype == want_gather.dtype and gather.tobytes() == want_gather.tobytes(), where
+        assert diagonal.dtype == want_diagonal.dtype and diagonal.tobytes() == want_diagonal.tobytes(), where
+
+
+def test_word_actions_equal_per_word_parity_reference_bytewise():
+    # the cached sign tables against every word's parity recomputed: every
+    # gate kind in both qubit orders and every projector, then random words
+    for n in (1, 2, 3, 4, 5, 6, 12):
+        for kind in ALL_KINDS:
+            arity = 2 if kind in TWO_QUBIT_GATES else 1
+            for qubits in itertools.permutations(range(n), arity):
+                words = gate_words(GateOp(kind, qubits), n)
+                _assert_same_bytes(word_action(n, *words), reference_word_action(n, *words), (n, kind, qubits))
+        for q in range(n):
+            for outcome in (0, 1):
+                words = projector_words(n, q, outcome)
+                _assert_same_bytes(word_action(n, words), reference_word_action(n, words), (n, q, outcome))
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 3, 4, 5, 6, 12):
+        for _ in range(40):
+            a, b = _random_words(n, rng), _random_words(n, rng)
+            _assert_same_bytes(word_action(n, a, b), reference_word_action(n, a, b), (n, a, b))
+
+
+def _random_words(n: int, rng) -> list:
+    """One to five words: signed (zero) coefficients, any e1 mask, e2 among four masks so words share diagonals."""
+    coefs = rng.choice((-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, rng.normal()), rng.integers(1, 6))
+    return [(float(c), int(rng.integers(2**n)), int(rng.integers(min(2**n, 4)))) for c in coefs]
 
 
 def test_coordinate_walk_matches_the_element_walk():

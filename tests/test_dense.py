@@ -14,7 +14,7 @@ from bladesim import (
     tensor,
     vacuum,
 )
-from oracles import dense_matrix, random_blade_string, random_dense, reference_gp
+from oracles import dense_matrix, random_blade_string, random_dense, reference_dense_gp, reference_gp
 
 
 def test_dense_gp_matches_matrix_oracle():
@@ -49,6 +49,41 @@ def test_dense_gp_equals_two_branch_reference_exactly():
             a, b = _with_nonzeros(n, k, rng), _with_nonzeros(n, k, rng)
             for x, y in ((a, b), (b, a)):
                 assert np.array_equal(dense_gp(x, y).c, reference_gp(x, y)), (n, k)
+
+
+def _with_signed_zeros(n: int, density: float, rng) -> DenseMultivector:
+    """Random coefficients, the rest split between exact 0.0 and -0.0."""
+    c = rng.uniform(-1.0, 1.0, size=4**n)
+    zero = rng.random(4**n) >= density
+    c[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return DenseMultivector(n, c)
+
+
+def test_dense_gp_equals_per_term_parity_reference_bytewise():
+    # the cached sign tables against each term's parity recomputed, signed
+    # zeros included; either operand the sparser, and equal counts (the tie goes left)
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 3, 4, 5):
+        for density_a, density_b in ((0.02, 1.0), (0.1, 0.6), (0.5, 0.5), (1.0, 1.0), (0.7, 0.05)):
+            for _ in range(4 if n < 5 else 1):
+                a, b = _with_signed_zeros(n, density_a, rng), _with_signed_zeros(n, density_b, rng)
+                for x, y in ((a, b), (b, a), (a, a)):
+                    assert dense_gp(x, y).c.tobytes() == reference_dense_gp(x, y).tobytes(), (n, density_a, density_b)
+
+
+def test_parity_sign_tables_are_read_only_parities():
+    for bits in range(1, 13):
+        idx = dense._index(bits)
+        assert not idx.flags.writeable and idx.dtype == np.int64
+        assert np.array_equal(idx, np.arange(2**bits))
+        for mask in {0, 1, 2**bits - 1, 0b1010101010 & (2**bits - 1), 1 << (bits - 1)}:
+            signs = dense._parity_signs(bits, mask)
+            assert not signs.flags.writeable and signs.dtype == np.float64
+            want = (-1.0) ** np.bitwise_count(np.arange(2**bits) & mask)
+            assert signs.tobytes() == want.tobytes(), (bits, mask)
+            assert dense._parity_signs(bits, mask) is signs
+    with pytest.raises(ValueError):
+        dense._parity_signs(3, 1)[0] = 2.0
 
 
 def test_dense_gp_reproduces_string_mul_exactly():

@@ -89,7 +89,7 @@ def test_both_paths_equal_default_rng_across_the_crossover(monkeypatch, limit):
     monkeypatch.setattr(bladesim.backends, "_PER_SHOT_MAX", limit)
     for seed in SEEDS:
         for shots in range(1, _PER_SHOT_MAX + 3):
-            for count in (1, 2, 65):
+            for count in (1, 2, 19, 65, 500):
                 words = _shot_words(seed, shots, count)
                 assert words.shape == (shots, count) and words.dtype == np.uint64
                 for shot, row in enumerate(words):
