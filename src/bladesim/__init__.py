@@ -44,7 +44,6 @@ from .errors import (
 )
 from .gates import gate_to_operator_pair, qubit_projector
 from .ideal import (
-    IdealState,
     OperatorPair,
     apply,
     conjugate_evolution_check,
@@ -82,7 +81,6 @@ __all__ = [
     "E12",
     "E2",
     "GateOp",
-    "IdealState",
     "J",
     "Multivector2",
     "NotInIdealError",

@@ -30,8 +30,9 @@ all three in lockstep, and at each measurement the tableau and both dense
 backends take the outcome recorded for shot 0.  It steps and measures the
 dense states only through the engines `_dense_backend` gives `_walk`, so it
 checks the wiring that `run` executes.  Up to the dense-oracle cap it also
-steps the 4**n element of the ideal through the operator pairs, the oracle
-that the coordinates must match.
+steps the 4**n element of the ideal, a `DenseMultivector`, through the
+operator pairs, the oracle that the coordinates must match.  Both dense
+engines measure with the projector (1 - e1_q)/2 in one place, `_projection`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .circuit import MAX_SHOTS, MEASURE, Circuit
 from .dense import ORACLE_CAP, check_cap
 from .errors import BladesimError, TableauInvariantError
 from .gates import gate_to_operator_pair, gate_words, projector_words, qubit_projector
-from .ideal import IdealState, OperatorPair, act, apply, to_statevector, word_action
+from .ideal import OperatorPair, act, apply, to_statevector, vacuum, word_action
 from .tableau import Tableau, _indices, _pack, _unpack
 
 BACKENDS = ("stabilizer", "dense-clifford", "statevector")
@@ -233,11 +234,11 @@ def _per_shot_words(seed: int, shots: int, count: int) -> np.ndarray:
             pool = [mix(p, hashmix(word, next(step))) for p in pool]
         out = [hashmix(pool[i % _POOL], s) for i, s in enumerate(_OUT_STEPS)]
         w0, w1, w2, w3 = (out[i] | out[i + 1] << 32 for i in range(0, 2 * _POOL, 2))
-        inc = (w2 << 65 | w3 << 1 | 1) & (1 << 128) - 1
+        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
         state = ((w0 << 64 | w1) + inc) * _LCG_MULT + inc
         row = []
         for _ in range(count):
-            state = (state * _LCG_MULT + inc) & (1 << 128) - 1
+            state = (state * _LCG_MULT + inc) & _MASK128
             value, rot = (state >> 64 ^ state) & 0xFFFFFFFFFFFFFFFF, state >> 122
             row.append((value >> rot | value << (64 - rot)) & 0xFFFFFFFFFFFFFFFF)
         rows.append(row)
@@ -398,14 +399,15 @@ def _dense_backend(circuit: Circuit, backend: str) -> tuple:
     words = lambda op: (projector_words(n, op.qubits[0], 1), ()) if op.is_measure else gate_words(op, n)  # noqa: E731
     actions = _per_op(circuit, lambda op: word_action(n, *words(op)))
     step = lambda v, op: act(actions[(op.kind, op.qubits)], v)  # noqa: E731
-    project = lambda v, q: _coordinate_project(v, actions[(MEASURE, (q,))])  # noqa: E731
+    project = lambda v, q: _projection(v, act(actions[(MEASURE, (q,))], v), _norm2)  # noqa: E731
     return sv.zero_state(n), step, project
 
 
 def _element_backend(circuit: Circuit) -> tuple:
     """(start state, step, project) on 4**n-coefficient elements of the ideal, the dense oracle.
 
-    Each distinct op's operator pair is built once; a measurement's is (1 - e1_q)/2.
+    The state is the element itself, from the vacuum.  Each distinct op's
+    operator pair is built once; a measurement's is (1 - e1_q)/2.
     """
     n = circuit.n
 
@@ -415,9 +417,10 @@ def _element_backend(circuit: Circuit) -> tuple:
         return gate_to_operator_pair(op, n)
 
     pairs = _per_op(circuit, pair)
+    norm2 = lambda s: 2**n * float(s.c @ s.c)  # noqa: E731
     step = lambda s, op: apply(pairs[(op.kind, op.qubits)], s)  # noqa: E731
-    project = lambda s, q: _ideal_project(s, pairs[(MEASURE, (q,))])  # noqa: E731
-    return IdealState.zero_state(n), step, project
+    project = lambda s, q: _projection(s, apply(pairs[(MEASURE, (q,))], s), norm2)  # noqa: E731
+    return vacuum(n), step, project
 
 
 def _pass(circuit: Circuit) -> tuple[Tableau, list[tuple[int, int]], int]:
@@ -467,41 +470,22 @@ def _norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _normalized(part, norm2: float, outcome: int):
-    """`part` scaled to unit norm, given its squared norm; a zero part has no outcome to collapse onto."""
-    if norm2 == 0.0:
-        raise ValueError(f"outcome {outcome} has zero norm")
-    return part * (1.0 / math.sqrt(norm2))
+def _projection(v, one, norm2) -> tuple:
+    """Measure the state v with P1 = (1 - e1_q)/2, given `one` = P1 v: p1 = norm2(one) / norm2(v).
 
-
-def _coordinate_project(v: np.ndarray, projector: tuple) -> tuple:
-    """Measure on ideal coordinates: p1 = |P1 v|^2 / |v|^2 in the complex norm.
-
-    `projector` is the word action of P1 = (1 - e1_q)/2.  The collapse keeps
-    `one`, P1 v, or v - one, and normalizes it.
+    Each dense engine passes its squared norm: the complex norm on
+    coordinates, 2**n times the coefficient norm on the 4**n element.  The
+    collapse keeps `one` for outcome 1 and v - one for outcome 0, scaled to
+    unit norm; a zero part has no outcome to collapse onto.
     """
-    one = act(projector, v)
-    p1 = _norm2(one) / _norm2(v)
+    p1 = norm2(one) / norm2(v)
 
-    def collapse(outcome: int) -> np.ndarray:
+    def collapse(outcome: int):
         part = one if outcome else v - one
-        return _normalized(part, _norm2(part), outcome)
-
-    return p1, collapse
-
-
-def _ideal_project(state: IdealState, projector: OperatorPair) -> tuple:
-    """Measure inside the algebra: p1 = |P1 psi|^2 / |psi|^2 in coefficient norms.
-
-    The collapse keeps `one`, the outcome-1 part P1 psi, or psi - one; renormalize.
-    The ideal basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
-    """
-    one = apply(projector, state).psi
-    p1 = float(one.c @ one.c) / float(state.psi.c @ state.psi.c)
-
-    def collapse(outcome: int) -> IdealState:
-        part = one if outcome else state.psi - one
-        return IdealState(state.n, _normalized(part, 2**state.n * float(part.c @ part.c), outcome))
+        part_norm2 = norm2(part)
+        if part_norm2 == 0.0:
+            raise ValueError(f"outcome {outcome} has zero norm")
+        return part * (1.0 / math.sqrt(part_norm2))
 
     return p1, collapse
 

@@ -23,8 +23,11 @@ Pauli Z/X/iY matrix on qubit j, and preparing a state with some element and
 then acting with another is the same as acting first and preparing once:
 left actions and state preparation commute through the product.
 
-Nothing here is normalized: preparing with g yields a state whose norm
-depends on g.  The basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
+A state is its element: `theta`, `apply` and `to_statevector` take or
+return the `DenseMultivector` in the ideal itself, with no wrapper, and
+`to_statevector` is where membership is checked.  Nothing here is
+normalized: preparing with g yields a state whose norm depends on g.  The
+basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
 
 A state's coordinates along B_b and B_b * J are one complex 2**n array,
 which is the state vector.  On coordinates a blade word, the product of e1 at
@@ -87,7 +90,7 @@ def _basis(n: int):
     half = 2**n
     cols = np.empty((4**n, 2 * half))
     for b in range(half):
-        state = theta(DenseMultivector.basis_blade(n, _dense_bits(n, b, 2))).psi
+        state = theta(DenseMultivector.basis_blade(n, _dense_bits(n, b, 2)))
         cols[:, b] = state.c
         cols[:, half + b] = right_mul_j(state).c
     dual = cols.T * float(2**n)
@@ -96,37 +99,20 @@ def _basis(n: int):
     return cols, dual
 
 
-@dataclass(frozen=True)
-class IdealState:
-    """A state carried inside the algebra as a dense element of the ideal."""
-
-    n: int
-    psi: DenseMultivector
-
-    def __post_init__(self):
-        if self.psi.n != self.n:
-            raise DimensionMismatchError(f"element on {self.psi.n} qubits, state on {self.n}")
-
-    @classmethod
-    def zero_state(cls, n: int) -> "IdealState":
-        """|0...0>, the vacuum itself."""
-        return cls(n, vacuum(n))
+def theta(g: DenseMultivector) -> DenseMultivector:
+    """Prepare a state from an algebra element: g times the vacuum, an element of the ideal."""
+    return dense_gp(g, vacuum(g.n))
 
 
-def theta(g: DenseMultivector) -> IdealState:
-    """Prepare a state from an algebra element: multiply onto the vacuum."""
-    return IdealState(g.n, dense_gp(g, vacuum(g.n)))
-
-
-def to_statevector(s: IdealState) -> np.ndarray:
-    """Complex amplitudes of a state, unnormalized.
+def to_statevector(s: DenseMultivector) -> np.ndarray:
+    """Complex amplitudes of the state that the element s of the ideal is, unnormalized.
 
     Raises NotInIdealError when the element is farther than MEMBERSHIP_TOL from
     its expansion over the ideal basis (it then does not encode a state).
     """
     cols, dual = _basis(s.n)
-    coef = dual @ s.psi.c
-    residual = np.abs(cols @ coef - s.psi.c).max()
+    coef = dual @ s.c
+    residual = np.abs(cols @ coef - s.c).max()
     if residual > MEMBERSHIP_TOL:
         raise NotInIdealError(f"element is {residual:.3e} away from the state space (tol {MEMBERSHIP_TOL:g})")
     half = 2**s.n
@@ -182,14 +168,14 @@ class OperatorPair:
         return rho_matrix(self.a) + 1j * rho_matrix(self.b)
 
 
-def apply(op: OperatorPair, s: IdealState) -> IdealState:
-    """Act on a state: a*psi plus (b*psi) times the complex unit."""
+def apply(op: OperatorPair, s: DenseMultivector) -> DenseMultivector:
+    """Act on the state s, an element of the ideal: a*s plus (b*s) times the complex unit."""
     if op.n != s.n:
         raise DimensionMismatchError(f"operator on {op.n} qubits, state on {s.n}")
-    out = dense_gp(op.a, s.psi)
+    out = dense_gp(op.a, s)
     if op.b.c.any():
-        out = out + right_mul_j(dense_gp(op.b, s.psi))
-    return IdealState(s.n, out)
+        out = out + right_mul_j(dense_gp(op.b, s))
+    return out
 
 
 def density_from_generator(a: DenseMultivector, normalize: bool = True) -> np.ndarray:

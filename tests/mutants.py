@@ -103,6 +103,30 @@ MUTANTS = (
         "for word in entropy[_POOL:_POOL]:",
         ("tests/test_shot_streams.py",),
     ),
+    # the per-shot LCG step left unmasked, so the state outgrows 128 bits
+    Mutant(
+        "per-shot-lcg-mask",
+        "src/bladesim/backends.py",
+        "state = (state * _LCG_MULT + inc) & _MASK128",
+        "state = state * _LCG_MULT + inc",
+        ("tests/test_shot_streams.py",),
+    ),
+    # the dense engines' one projection keeping the other part for each outcome
+    Mutant(
+        "projection-outcome-swap",
+        "src/bladesim/backends.py",
+        "part = one if outcome else v - one",
+        "part = v - one if outcome else one",
+        ("tests/test_backends.py",),
+    ),
+    # the element's squared norm in coefficients, not amplitudes: p1 holds, each collapse is off by 2^(n/2)
+    Mutant(
+        "element-norm-scale",
+        "src/bladesim/backends.py",
+        "2**n * float(s.c @ s.c)",
+        "float(s.c @ s.c)",
+        ("tests/test_backends.py",),
+    ),
     # the symbolic pass counting every measurement as a draw
     Mutant(
         "pass-draws-every-measurement",

@@ -30,6 +30,11 @@ left `src/` for this file.
 `element_from_coordinates` is the 4**n element of the ideal whose coordinates
 along B_b and B_b * J are a given complex vector, the carrier the
 dense-clifford backend stepped before it kept only the coordinates.
+`reference_coordinate_project` and `reference_ideal_project` are the two
+projector measurements the dense engines made before both went through
+`backends._projection`: one on coordinates in the complex norm, one on the
+4**n element in coefficient norms, each normalizing its collapse through
+`_normalized`.  p1 and every collapse must give the same bytes.
 `reference_gp` is `dense_gp` as it was before its one gather loop: two
 mirrored branches, each scattering the sparser operand's terms.
 `reference_dense_gp` and `reference_word_action` are `dense_gp` and
@@ -59,6 +64,7 @@ halves were picked by index tuples (`_slices`).  The two-qubit gates, the
 Born sum and the collapse must give its bytes.
 """
 
+import math
 import re
 from collections import Counter
 
@@ -511,13 +517,57 @@ def reference_stabilizer_lines(t) -> list[str]:
 
 
 def element_from_coordinates(n: int, v):
-    """The IdealState with coordinates v: sum of Re v[b] B_b + Im v[b] B_b J, from `ideal._basis`."""
-    from bladesim import DenseMultivector, IdealState
+    """The element of the ideal with coordinates v: sum of Re v[b] B_b + Im v[b] B_b J, from `ideal._basis`."""
+    from bladesim import DenseMultivector
     from bladesim.ideal import _basis
 
     cols, _ = _basis(n)
     v = np.asarray(v, dtype=complex)
-    return IdealState(n, DenseMultivector(n, cols @ np.concatenate((v.real, v.imag))))
+    return DenseMultivector(n, cols @ np.concatenate((v.real, v.imag)))
+
+
+def _normalized(part, norm2: float, outcome: int):
+    """`part` scaled to unit norm, given its squared norm; a zero part has no outcome to collapse onto."""
+    if norm2 == 0.0:
+        raise ValueError(f"outcome {outcome} has zero norm")
+    return part * (1.0 / math.sqrt(norm2))
+
+
+def reference_coordinate_project(v: np.ndarray, projector: tuple) -> tuple:
+    """Measure on ideal coordinates: p1 = |P1 v|^2 / |v|^2 in the complex norm.
+
+    `projector` is the word action of P1 = (1 - e1_q)/2.  The collapse keeps
+    `one`, P1 v, or v - one, and normalizes it.
+    """
+    from bladesim.backends import _norm2
+    from bladesim.ideal import act
+
+    one = act(projector, v)
+    p1 = _norm2(one) / _norm2(v)
+
+    def collapse(outcome: int) -> np.ndarray:
+        part = one if outcome else v - one
+        return _normalized(part, _norm2(part), outcome)
+
+    return p1, collapse
+
+
+def reference_ideal_project(state, projector) -> tuple:
+    """Measure inside the algebra: p1 = |P1 psi|^2 / |psi|^2 in coefficient norms.
+
+    The collapse keeps `one`, the outcome-1 part P1 psi, or psi - one; renormalize.
+    The ideal basis has squared norm 2**-n, so sum |amp|^2 = 2**n * sum c^2.
+    """
+    from bladesim.ideal import apply
+
+    one = apply(projector, state)
+    p1 = float(one.c @ one.c) / float(state.c @ state.c)
+
+    def collapse(outcome: int):
+        part = one if outcome else state - one
+        return _normalized(part, 2**state.n * float(part.c @ part.c), outcome)
+
+    return p1, collapse
 
 
 def reference_gp(a, b):

@@ -14,7 +14,6 @@ from bladesim import (
     CapacityError,
     Circuit,
     GateOp,
-    IdealState,
     OperatorPair,
     apply,
     born_distribution,
@@ -25,13 +24,24 @@ from bladesim import (
     run,
     theta,
     to_statevector,
+    vacuum,
     validate,
 )
 from bladesim import statevector as sv
-from bladesim.backends import BACKENDS, BRANCH_EPS, CODE_BITS, _dense_backend, _distinct, _ideal_project, _tally
+from bladesim.backends import BACKENDS, BRANCH_EPS, CODE_BITS, _dense_backend, _distinct, _element_backend, _tally
 from bladesim.circuit import MAX_SHOTS, MEASURE, ONE_QUBIT_GATES, TWO_QUBIT_GATES
+from bladesim.gates import projector_words
+from bladesim.ideal import word_action
 from corpus import circuits
-from oracles import circuit_unitary, element_from_coordinates, json_ready, per_record_counts, random_dense
+from oracles import (
+    circuit_unitary,
+    element_from_coordinates,
+    json_ready,
+    per_record_counts,
+    random_dense,
+    reference_coordinate_project,
+    reference_ideal_project,
+)
 
 BELL = parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
 CERTAIN = parse("qubits 2\nx 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")  # no random outcome
@@ -190,7 +200,7 @@ def _ideal_states(n: int, rng) -> list:
     the vacuum (stabilizer states, whose p1 is 0, 1/2 or 1) and on a generic state."""
     generic = [theta(random_dense(n, rng)) for _ in range(3)]
     states = list(generic)
-    for state in [IdealState.zero_state(n)] * 3 + generic[:1]:
+    for state in [vacuum(n)] * 3 + generic[:1]:
         circuit = random_clifford_circuit(n, 4 * n, seed=int(rng.integers(1 << 30)), gate_kinds=ALL_KINDS)
         for op in circuit.ops:
             state = apply(gate_to_operator_pair(op, n), state)
@@ -207,12 +217,13 @@ def test_in_algebra_measurement_matches_state_vector():
     for n in range(1, 6):
         measures = Circuit(n, tuple(GateOp(MEASURE, (q,), q) for q in range(n)), n)
         _, _, project = _dense_backend(measures, "dense-clifford")
+        _, _, element_project = _element_backend(measures)
         for state in _ideal_states(n, rng):
             amps = to_statevector(state)
             for q in range(n):
                 p = sv.born_p1(amps, q, n)
                 p1, collapse = project(amps, q)
-                p_element, collapse_element = _ideal_project(state, OperatorPair.real(qubit_projector(n, q, 1)))
+                p_element, collapse_element = element_project(state, q)
                 assert abs(p1 - p) <= tol and abs(p1 - p_element) <= tol, (n, q, p1, p, p_element)
                 for outcome in (0, 1):
                     if (p if outcome else 1.0 - p) <= BRANCH_EPS:
@@ -221,6 +232,47 @@ def test_in_algebra_measurement_matches_state_vector():
                     dev = np.max(np.abs(got - sv.collapse(amps, q, n, outcome)))
                     dev_element = np.max(np.abs(got - to_statevector(collapse_element(outcome))))
                     assert max(dev, dev_element) <= tol, (n, q, outcome, dev, dev_element)
+
+
+def _same_collapse(collapse, reference, outcome: int) -> bool:
+    """Whether two collapses give the same bytes, or both refuse with the same message; True if they refuse."""
+    try:
+        want = reference(outcome)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            collapse(outcome)
+        assert str(got.value) == str(err)
+        return True
+    got = collapse(outcome)
+    assert type(got) is type(want)
+    assert getattr(got, "c", got).tobytes() == getattr(want, "c", want).tobytes()  # an element's coefficients
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_projection_equals_the_two_projections_it_replaces(n):
+    # the dense engines' one `_projection`, as `_dense_backend` and
+    # `_element_backend` wire it, against the coordinate and element
+    # projections it replaced: p1 equal as floats, each collapse equal byte
+    # for byte, a zero part refused with the same message on both sides
+    rng = np.random.default_rng(67 + n)
+    measures = Circuit(n, tuple(GateOp(MEASURE, (q,), q) for q in range(n)), n)
+    _, _, project = _dense_backend(measures, "dense-clifford")
+    _, _, element_project = _element_backend(measures)
+    refused = 0
+    for state in [vacuum(n), *_ideal_states(n, rng)]:
+        amps = to_statevector(state)
+        for q in range(n):
+            words = word_action(n, projector_words(n, q, 1))
+            pair = OperatorPair.real(qubit_projector(n, q, 1))
+            for (p1, collapse), (want, reference) in (
+                (project(amps, q), reference_coordinate_project(amps, words)),
+                (element_project(state, q), reference_ideal_project(state, pair)),
+            ):
+                assert p1 == want, (n, q, p1, want)
+                for outcome in (0, 1):
+                    refused += _same_collapse(collapse, reference, outcome)
+    assert refused  # the vacuum has no part on outcome 1
 
 
 def test_dense_shot_loop_measures_inside_the_algebra(monkeypatch):
@@ -233,13 +285,13 @@ def test_dense_shot_loop_measures_inside_the_algebra(monkeypatch):
     def checked_backend(circuit, backend):
         state, step, project = original(circuit, backend)
         n = circuit.n
+        element_project = _element_backend(circuit)[2]
 
         def checked(v, q):
             nonlocal calls
             calls += 1
             p1, collapse = project(v, q)
-            pair = OperatorPair.real(qubit_projector(n, q, 1))
-            p_element, collapse_element = _ideal_project(element_from_coordinates(n, v), pair)
+            p_element, collapse_element = element_project(element_from_coordinates(n, v), q)
             assert abs(p1 - p_element) <= 1e-12, (q, p1, p_element)
 
             def both(outcome):

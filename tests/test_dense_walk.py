@@ -66,8 +66,7 @@ def test_each_outcome_prefix_is_measured_once(circuit, shots, monkeypatch):
         return counted
 
     monkeypatch.setattr(sv, "born_p1", counting("statevector", sv.born_p1))
-    coordinate_project = bladesim.backends._coordinate_project
-    monkeypatch.setattr(bladesim.backends, "_coordinate_project", counting("dense-clifford", coordinate_project))
+    monkeypatch.setattr(bladesim.backends, "_projection", counting("dense-clifford", bladesim.backends._projection))
     count = circuit.measure_count
     assert count > 1
     for backend in DENSE:

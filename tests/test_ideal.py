@@ -5,7 +5,6 @@ from bladesim import (
     CapacityError,
     DegenerateStateError,
     DenseMultivector,
-    IdealState,
     NotInIdealError,
     OperatorPair,
     apply,
@@ -77,7 +76,7 @@ def test_right_mul_j_equals_index_and_sign_rule():
 def test_ideal_basis_and_complex_unit_refuse_above_the_oracle_cap():
     psi = DenseMultivector.zero(6)
     with pytest.raises(CapacityError, match="ideal basis"):
-        to_statevector(IdealState(6, psi))
+        to_statevector(psi)
     with pytest.raises(CapacityError, match="ideal basis"):
         project_v(psi)
     with pytest.raises(CapacityError):
@@ -101,7 +100,7 @@ def test_preparing_after_composing_equals_acting_after_preparing():
             g, h = random_dense(n, rng), random_dense(n, rng)
             via_product = theta(dense_gp(g, h))
             via_action = apply(OperatorPair.real(g), theta(h))
-            assert np.allclose(via_product.psi.c, via_action.psi.c, atol=1e-12)
+            assert np.allclose(via_product.c, via_action.c, atol=1e-12)
 
 
 def test_right_unit_multiplies_amplitudes_by_i():
@@ -109,9 +108,9 @@ def test_right_unit_multiplies_amplitudes_by_i():
     for n in (1, 2, 3):
         s = theta(random_dense(n, rng))
         amps = to_statevector(s)
-        doubled = IdealState(n, s.psi + right_mul_j(s.psi))
+        doubled = s + right_mul_j(s)
         assert np.allclose(to_statevector(doubled), (1 + 1j) * amps, atol=1e-10)
-        rotated = IdealState(n, right_mul_j(s.psi))
+        rotated = right_mul_j(s)
         assert np.allclose(to_statevector(rotated), 1j * amps, atol=1e-10)
 
 
@@ -158,9 +157,9 @@ def test_ideal_membership_check():
     # a bare e1 blade at n=2 is not a state
     outside = local_blade(2, 0, 1)
     with pytest.raises(NotInIdealError):
-        to_statevector(IdealState(2, outside))
+        to_statevector(outside)
     projected = project_v(outside)
-    amps = to_statevector(IdealState(2, projected))
+    amps = to_statevector(projected)
     assert amps.shape == (4,)
     # projection is idempotent
     assert np.allclose(project_v(projected).c, projected.c, atol=1e-12)
@@ -172,7 +171,7 @@ def test_span_dimensions():
         vecs_j = []
         for idx in range(4**n):
             g = DenseMultivector.basis_blade(n, idx)
-            s = theta(g).psi
+            s = theta(g)
             vecs.append(s.c)
             vecs_j.append(right_mul_j(s).c)
         rank = np.linalg.matrix_rank(np.array(vecs))
@@ -206,9 +205,9 @@ def test_apply_commutes_with_complex_unit():
         g = random_dense(2, rng)
         s = theta(random_dense(2, rng))
         op = OperatorPair.real(g)
-        lhs = apply(op, IdealState(2, right_mul_j(s.psi)))
-        rhs = right_mul_j(apply(op, s).psi)
-        assert np.allclose(lhs.psi.c, rhs.c, atol=1e-12)
+        lhs = apply(op, right_mul_j(s))
+        rhs = right_mul_j(apply(op, s))
+        assert np.allclose(lhs.c, rhs.c, atol=1e-12)
 
 
 def test_unitary_blade_strings_preserve_norm():
